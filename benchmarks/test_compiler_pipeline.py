@@ -15,7 +15,7 @@ from repro.apps.kernels import (doall_loop, example2_loop, fig21_loop,
                                 recurrence_loop)
 from repro.compiler import compile_loop, doacross_delay, worth_doacross
 from repro.report import print_table
-from repro.schemes import make_scheme
+from repro.schemes import RunConfig, make_scheme
 from repro.sim import Machine, MachineConfig
 
 P = 8
@@ -33,8 +33,8 @@ def run_compiler_study():
         decision = compile_loop(loop, processors=P, objective="time")
         simulated = {}
         for name in decision.estimates:
-            result = make_scheme(name).run(loop, machine=machine,
-                                           validate=False)
+            result = make_scheme(name).run(
+                loop, config=RunConfig(machine=machine, validate=False))
             simulated[name] = result.makespan
         chosen_run = machine.run(decision.instrumented)
         decision.instrumented.validate(chosen_run)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.apps.kernels import fig21_loop
 from repro.report import print_table
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig
 
 P = 8
@@ -24,16 +24,16 @@ def run_fig4():
     # N sweep at fixed X
     for n in (50, 100, 200):
         results[("N", n)] = ProcessOrientedScheme(n_counters=16).run(
-            fig21_loop(n=n), machine=machine)
+            fig21_loop(n=n), config=RunConfig(machine=machine))
     # X sweep at fixed N
     for x in (1, 2, 4, 16, 64):
         results[("X", x)] = ProcessOrientedScheme(n_counters=x).run(
-            fig21_loop(n=100), machine=machine)
+            fig21_loop(n=100), config=RunConfig(machine=machine))
     # primitive styles under scarce counters (ownership arrives late)
     for style in ("basic", "improved"):
         results[("style", style)] = ProcessOrientedScheme(
-            n_counters=2, style=style).run(fig21_loop(n=100),
-                                           machine=machine)
+            n_counters=2, style=style).run(
+                fig21_loop(n=100), config=RunConfig(machine=machine))
     return results
 
 

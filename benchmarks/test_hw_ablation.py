@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.apps.kernels import fig21_loop, fig21_loop_with_delay
 from repro.report import print_table
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig
 
 N = 100
@@ -26,17 +26,17 @@ def run_ablations():
     # a congested bus (tiny X forces mark skips and queued writes; the
     # relaxation-style many-marks pattern benefits most from coverage)
     rows["coverage=on"] = ProcessOrientedScheme(
-        coverage=True).run(loop, machine=machine)
+        coverage=True).run(loop, config=RunConfig(machine=machine))
     rows["coverage=off"] = ProcessOrientedScheme(
-        coverage=False).run(loop, machine=machine)
+        coverage=False).run(loop, config=RunConfig(machine=machine))
     rows["fields=atomic"] = ProcessOrientedScheme(
-        split_fields=False).run(loop, machine=machine)
+        split_fields=False).run(loop, config=RunConfig(machine=machine))
     rows["fields=split"] = ProcessOrientedScheme(
-        split_fields=True).run(loop, machine=machine)
+        split_fields=True).run(loop, config=RunConfig(machine=machine))
     rows["prune=exact"] = ProcessOrientedScheme(
-        prune="exact").run(loop, machine=machine)
+        prune="exact").run(loop, config=RunConfig(machine=machine))
     rows["prune=none"] = ProcessOrientedScheme(
-        prune="none").run(loop, machine=machine)
+        prune="none").run(loop, config=RunConfig(machine=machine))
 
     # a genuinely congested bus (slow broadcasts, cheap statements):
     # queued same-PC writes exist, so coverage actually fires
@@ -45,15 +45,15 @@ def run_ablations():
         rows[f"busy-bus coverage={'on' if cov else 'off'}"] = \
             ProcessOrientedScheme(
                 coverage=cov,
-                fabric_kwargs={"bus_service": 12}).run(cheap,
-                                                       machine=machine)
+                fabric_kwargs={"bus_service": 12}).run(
+                    cheap, config=RunConfig(machine=machine))
 
     imbalanced = fig21_loop_with_delay(n=N, slow_iteration=N // 2,
                                        slow_cost=600)
     for schedule in ("self", "block"):
         machine_s = Machine(MachineConfig(processors=P, schedule=schedule))
         rows[f"schedule={schedule}"] = ProcessOrientedScheme().run(
-            imbalanced, machine=machine_s)
+            imbalanced, config=RunConfig(machine=machine_s))
     return rows
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.apps.kernels import fig21_loop
 from repro.report import print_table
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig
 
 N = 100
@@ -29,12 +29,12 @@ def run_fabrics():
     loop = fig21_loop(n=N)
     rows = {}
     rows["broadcast bus"] = ProcessOrientedScheme(
-        fabric="broadcast").run(loop, machine=machine)
+        fabric="broadcast").run(loop, config=RunConfig(machine=machine))
     rows["coherent cache"] = ProcessOrientedScheme(
-        fabric="cached").run(loop, machine=machine)
+        fabric="cached").run(loop, config=RunConfig(machine=machine))
     rows["coherent cache (4 lines)"] = ProcessOrientedScheme(
         fabric="cached", fabric_kwargs={"capacity": 4}).run(
-            loop, machine=machine)
+            loop, config=RunConfig(machine=machine))
     return rows
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.apps.kernels import doall_loop, fig21_loop
 from repro.report import print_table
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig, SCHED_COUNTER
 
 P = 8
@@ -33,9 +33,10 @@ def run_schedules():
     for schedule in SCHEDULES:
         machine = Machine(MachineConfig(processors=P, schedule=schedule,
                                         chunk_size=8))
-        rows[("doall", schedule)] = scheme.run(doall, machine=machine)
-        rows[("doacross", schedule)] = scheme.run(doacross,
-                                                  machine=machine)
+        rows[("doall", schedule)] = scheme.run(
+            doall, config=RunConfig(machine=machine))
+        rows[("doacross", schedule)] = scheme.run(
+            doacross, config=RunConfig(machine=machine))
     return rows
 
 

@@ -18,7 +18,7 @@ from repro.apps.kernels import fig21_loop, relaxation_loop
 from repro.depend import DependenceGraph
 from repro.depend.transform import inner_loop_parallel, strip_mine, wavefront
 from repro.report import print_table
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig
 
 P = 8
@@ -32,16 +32,17 @@ def run_transform_study():
 
     original = relaxation_loop(n=GRID)
     transformed = wavefront(original)
-    rows["relaxation original"] = scheme.run(original, machine=machine)
-    rows["relaxation wavefronted"] = scheme.run(transformed,
-                                                machine=machine)
+    rows["relaxation original"] = scheme.run(
+        original, config=RunConfig(machine=machine))
+    rows["relaxation wavefronted"] = scheme.run(
+        transformed, config=RunConfig(machine=machine))
 
     flat = fig21_loop(n=60, cost=4)
-    rows["fig2.1 flat"] = scheme.run(flat, machine=machine)
+    rows["fig2.1 flat"] = scheme.run(flat, config=RunConfig(machine=machine))
     for width in (3, 6):
         stripped = strip_mine(flat, level=0, width=width)
-        rows[f"fig2.1 strip w={width}"] = scheme.run(stripped,
-                                                     machine=machine)
+        rows[f"fig2.1 strip w={width}"] = scheme.run(
+            stripped, config=RunConfig(machine=machine))
     return rows, transformed
 
 

@@ -21,7 +21,7 @@ import sys
 
 from repro.apps.kernels import fig21_loop, fig21_loop_with_delay
 from repro.report import print_table
-from repro.schemes import make_scheme, scheme_names
+from repro.schemes import RunConfig, make_scheme, scheme_names
 from repro.sim import Machine, MachineConfig
 
 
@@ -34,8 +34,8 @@ def main(n: int = 120, processors: int = 8) -> None:
     rows = []
     for name in scheme_names():
         scheme = make_scheme(name)
-        result = scheme.run(plain, machine=machine)
-        slow = scheme.run(delayed, machine=machine)
+        result = scheme.run(plain, config=RunConfig(machine=machine))
+        slow = scheme.run(delayed, config=RunConfig(machine=machine))
         rows.append([
             name, result.sync_vars, result.sync_storage_words,
             result.init_cycles, result.sync_transactions,

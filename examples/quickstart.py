@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 from repro.apps.kernels import fig21_loop
 from repro.core import build_sync_plan
 from repro.depend import DependenceGraph, classify
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig
 
 
@@ -42,7 +42,8 @@ def main() -> None:
     # 4. simulate under the process-oriented scheme
     scheme = ProcessOrientedScheme(processors=8)
     machine = Machine(MachineConfig(processors=8))
-    result = scheme.run(loop, machine=machine)  # validates automatically
+    result = scheme.run(
+        loop, config=RunConfig(machine=machine))  # validates automatically
 
     print("\nsimulated execution on 8 processors "
           "(validated against sequential semantics):")

@@ -612,10 +612,13 @@ def _chaos_mode(argv) -> int:
     plans = plan_names() if args.plans == "all" else args.plans.split(",")
     seeds = range(args.seed, args.seed + args.seeds)
 
-    outcomes = run_chaos_sweep(schemes=schemes, plans=plans, seeds=seeds,
-                               procs=args.procs,
-                               n=args.n, processors=args.processors,
-                               recover=args.recover)
+    try:
+        outcomes = run_chaos_sweep(schemes=schemes, plans=plans,
+                                   seeds=seeds, procs=args.procs,
+                                   n=args.n, processors=args.processors,
+                                   recover=args.recover)
+    except ValueError as err:  # an unknown --schemes/--plans name
+        parser.error(str(err))
     rows = []
     for o in outcomes:
         note = o.detail

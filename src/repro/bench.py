@@ -23,13 +23,11 @@ Two metrics modes are measured:
     and the event stream are collected.
 ``counters``
     the opt-in fast path (``metrics="counters"``): only end-of-run
-    counters, no per-event collection.  On engine versions that predate
-    the knob this falls back to ``record_trace=False``.
+    counters, no per-event collection.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import platform
@@ -51,33 +49,6 @@ DEFAULT_PRESETS = ("fig3.1", "fig3.2")
 DEFAULT_MODES = ("full", "counters")
 
 
-def _machine_supports_metrics() -> bool:
-    """Does this engine version expose the ``metrics`` knob?"""
-    return any(f.name == "metrics"
-               for f in dataclasses.fields(MachineConfig))
-
-
-class _CountingHeap:
-    """A ``heapq`` stand-in that counts pops.
-
-    Fallback event counter for engine versions that predate
-    ``Machine.last_run_info``: swapped into the engine module's
-    namespace for the duration of one run, it observes every queue pop
-    (== every processed event) without touching the global module.
-    """
-
-    def __init__(self, real: Any) -> None:
-        self._real = real
-        self.pops = 0
-
-    def heappop(self, heap: list) -> Any:
-        self.pops += 1
-        return self._real.heappop(heap)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._real, name)
-
-
 def _run_cell(cell: SweepCell, mode: str) -> Tuple[float, int, int]:
     """Simulate one grid cell; return (wall seconds, events, makespan).
 
@@ -87,36 +58,16 @@ def _run_cell(cell: SweepCell, mode: str) -> Tuple[float, int, int]:
     """
     loop = build_app(cell.app, dict(cell.app_params))
     scheme = make_scheme(cell.scheme)
-    kwargs: Dict[str, Any] = dict(
+    machine = Machine(MachineConfig(
         processors=cell.processors, schedule=cell.schedule,
-        record_trace=(mode == "full"))
-    if _machine_supports_metrics():
-        kwargs["metrics"] = mode
-    machine = Machine(MachineConfig(**kwargs))
+        record_trace=(mode == "full"), metrics=mode))
     instrumented = scheme.instrument(loop)
     if cell.wait_bound is not None:
         instrumented.bound_waits(cell.wait_bound)
-
-    counter = None
-    info = getattr(machine, "last_run_info", None)
-    if info is None:
-        # Pre-last_run_info engine: count queue pops via a module-local
-        # heapq shim (restored in the finally below).
-        from .sim import engine as engine_mod
-        counter = _CountingHeap(engine_mod.heapq)
-        engine_mod.heapq = counter  # type: ignore[assignment]
-    try:
-        start = time.perf_counter()
-        result = machine.run(instrumented)
-        wall = time.perf_counter() - start
-    finally:
-        if counter is not None:
-            from .sim import engine as engine_mod
-            engine_mod.heapq = counter._real  # type: ignore[assignment]
-    if counter is not None:
-        events = counter.pops
-    else:
-        events = int(machine.last_run_info["events_processed"])
+    start = time.perf_counter()
+    result = machine.run(instrumented)
+    wall = time.perf_counter() - start
+    events = int(machine.last_run_info["events_processed"])
     return wall, events, result.makespan
 
 

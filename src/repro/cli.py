@@ -13,7 +13,10 @@ three IO/parallelism flags mean the same thing everywhere:
     grids); deterministic modes accept and ignore it;
 ``--procs N``
     number of parallel worker processes used to fan out independent
-    runs (1 = serial, identical output either way).
+    runs (1 = serial, identical output either way).  Above 1, every
+    fan-out mode (``chaos``, ``sweep``, ``serve``) runs its cells
+    through the one supervision loop,
+    :class:`repro.lab.executor.PoolSupervisor`.
 
 Modes that fan cells over supervised workers additionally share the
 executor trio (``--cell-timeout`` / ``--max-retries`` / ``--resume``,
@@ -81,7 +84,7 @@ def add_executor_options(parser: argparse.ArgumentParser,
     """Attach the supervised-executor trio shared by fan-out modes.
 
     ``--cell-timeout`` / ``--max-retries`` / ``--resume`` configure the
-    :class:`repro.lab.executor.SupervisedExecutor` supervision loop;
+    :class:`repro.lab.executor.PoolSupervisor` supervision loop;
     any mode that fans cells over workers takes them with identical
     semantics.  ``--max-retries`` defaults to None so callers can fill
     in the executor's own default without importing it here.

@@ -160,7 +160,7 @@ def run_chaos_case(scheme_name: str, plan: FaultPlan, *,
 
 
 def _sweep_case(item) -> ChaosOutcome:
-    """Pool worker: run one (scheme, plan name, seed, kwargs) cell."""
+    """Worker: run one (scheme, plan name, seed, kwargs) cell."""
     scheme, plan_name, seed, case_kwargs = item
     return run_chaos_case(scheme, make_plan(plan_name, seed=seed),
                           **case_kwargs)
@@ -174,22 +174,40 @@ def run_chaos_sweep(schemes: Optional[Sequence[str]] = None,
     """Sweep seeds x schemes x fault plans; return every outcome.
 
     ``schemes`` defaults to all four registered schemes, ``plans`` to
-    every named preset.  Keyword arguments pass through to
-    :func:`run_chaos_case`.  ``procs`` fans the independent cells over
-    a process pool (cells are seeded and deterministic, so the outcome
-    list is identical at any worker count); with ``procs > 1`` the
-    keyword arguments must be picklable -- in particular, pass a
-    prebuilt ``loop`` only when running serially.
+    every named preset; an unknown name raises :class:`ValueError`
+    listing the known ones before any cell runs.  Keyword arguments
+    pass through to :func:`run_chaos_case`.  ``procs`` fans the
+    independent cells over supervised worker processes (cells are
+    seeded and deterministic, so the outcome list is identical at any
+    worker count); with ``procs > 1`` the keyword arguments must be
+    picklable -- in particular, pass a prebuilt ``loop`` only when
+    running serially.  A cell that raises is not retried: the sweep
+    raises :class:`RuntimeError` naming it.
     """
-    from ..lab.parallel import parallel_map
+    from ..lab.executor import SupervisedExecutor
 
     schemes = list(schemes) if schemes else scheme_names()
     plans = list(plans) if plans else plan_names()
+    # a typo raises here, listing the known names, before any cell runs
+    for name in schemes:
+        make_scheme(name)
+    for name in plans:
+        make_plan(name)
+    seeds = list(seeds)
     cells = [(scheme, plan_name, seed, case_kwargs)
              for scheme in schemes
              for plan_name in plans
              for seed in seeds]
-    return parallel_map(_sweep_case, cells, procs=procs)
+    keys = [f"{scheme}/{plan_name}/{seed}"
+            for scheme, plan_name, seed, _kwargs in cells]
+    outcome = SupervisedExecutor(_sweep_case, procs=procs,
+                                 max_retries=0).run(cells, keys=keys)
+    if outcome.failures:
+        raise RuntimeError(
+            f"chaos sweep: {len(outcome.failures)} cell(s) raised: "
+            + "; ".join(failure.describe()
+                        for failure in outcome.failures))
+    return [outcome.results[index] for index in range(len(cells))]
 
 
 def summarize(outcomes: Sequence[ChaosOutcome]) -> Dict[str, int]:

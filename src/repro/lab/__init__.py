@@ -46,8 +46,8 @@ from .chaos import ChaosError, ExecutorChaos, StoreChaos
 from .client import ServiceClient, ServiceError
 from .events import (EVENT_SCHEMA_VERSION, CellDone, CellFailed,
                      CellShared, CellStarted, EventDecodeError, JobDone,
-                     JobSubmitted, SweepEvent, adapt_progress_callback,
-                     event_from_json, event_from_line)
+                     JobSubmitted, SweepEvent, event_from_json,
+                     event_from_line)
 from .executor import (DEFAULT_MAX_RETRIES, CellFailure, ExecutionOutcome,
                        PoolSupervisor, SupervisedExecutor)
 from .record import RECORD_SCHEMA_VERSION, merge_records
@@ -70,8 +70,7 @@ __all__ = [
     "ResultCache", "RunConfig", "ServiceClient", "ServiceClosed",
     "ServiceError", "ServiceServer", "StoreChaos", "Subscription",
     "SupervisedExecutor", "SweepCell", "SweepEvent", "SweepOptions",
-    "SweepReport", "SweepService", "SweepSpec", "adapt_progress_callback",
-    "app_names", "build_app", "diagnose", "event_from_json",
+    "SweepReport", "SweepService", "SweepSpec", "app_names", "build_app", "diagnose", "event_from_json",
     "event_from_line", "execute_cell", "execute_grid", "make_spec",
     "merge_records", "run_sweep", "sweep_presets",
 ]

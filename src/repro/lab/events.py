@@ -28,16 +28,12 @@ Events are frozen dataclasses with a byte-stable canonical JSON form
 (:meth:`SweepEvent.to_line` / :func:`event_from_json` round-trip to
 identical bytes) and carry :data:`EVENT_SCHEMA_VERSION`, so a client
 from a different release detects the mismatch instead of mis-parsing.
-
-The pre-event API -- ``run_sweep(on_progress=callable(key, record))``
--- is kept for one release through :func:`adapt_progress_callback`,
-which replays exactly the calls the old hook received.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Type
+from typing import Any, ClassVar, Dict, Mapping, Optional, Type
 
 from .record import canonical_dumps
 
@@ -214,28 +210,8 @@ def event_from_line(line: str) -> SweepEvent:
     return event_from_json(data)
 
 
-def adapt_progress_callback(
-        on_progress: Callable[[str, Dict[str, Any]], None],
-        ) -> Callable[[SweepEvent], None]:
-    """Wrap a dict-style ``on_progress(key, record)`` hook as an
-    event consumer (the one-release migration adapter).
-
-    Replays exactly the calls the old hook received: one per landed
-    record (``cell-done``) and one per cell served by a concurrent
-    writer (``cell-shared`` via ``concurrent``).  Warm cache hits never
-    reached the old hook, so ``via="cache"`` events are skipped.
-    """
-    def consume(event: SweepEvent) -> None:
-        if isinstance(event, CellDone):
-            on_progress(event.key, event.record)
-        elif isinstance(event, CellShared) and event.via == "concurrent":
-            on_progress(event.key, event.record)
-    return consume
-
-
 __all__ = [
     "EVENT_SCHEMA_VERSION", "CellDone", "CellFailed", "CellShared",
     "CellStarted", "EventDecodeError", "JobDone", "JobSubmitted",
-    "SweepEvent", "adapt_progress_callback", "event_from_json",
-    "event_from_line",
+    "SweepEvent", "event_from_json", "event_from_line",
 ]

@@ -1,10 +1,9 @@
 """The supervised executor: crash-safe fan-out for sweep cells.
 
-:func:`repro.lab.parallel.parallel_map` is the right tool for clean
-grids, but it fails whole: one crashed or hung worker aborts the
-``pool.map`` and every already-finished result dies with it.  This
-module replaces it under :func:`repro.lab.runner.run_sweep` with a
-supervision loop that assumes workers *will* misbehave:
+One supervision loop, :class:`PoolSupervisor`, runs every supervised
+cell in the repository -- a service's shared pool and a one-shot
+:class:`SupervisedExecutor` batch alike.  It assumes workers *will*
+misbehave:
 
 * **streaming** -- each worker holds exactly one in-flight cell;
   completions are delivered to the caller (``on_result``) the moment
@@ -24,12 +23,13 @@ The supervisor never re-orders results semantically: they are keyed
 by submission index, so callers reassemble deterministic output
 regardless of completion order, worker count, or how many times a
 cell was retried.  On any exit -- success, quarantine, or an
-interrupt propagating through -- the ``finally`` block terminates
-every child, so no orphan processes outlive the sweep.
+interrupt propagating through -- the supervision thread terminates
+every child, so no orphan processes outlive the pool.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -40,7 +40,6 @@ from multiprocessing import connection
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set)
 
 from .chaos import ChaosError, ExecutorChaos
-from .parallel import pool_context
 
 #: retries after the first attempt (so 3 attempts total by default)
 DEFAULT_MAX_RETRIES = 2
@@ -65,6 +64,13 @@ def backoff_delay(attempt: int,
     if attempt < 1:
         return 0.0
     return min(cap, base * (2 ** (attempt - 1)))
+
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The cheapest safe start method: fork where available."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,26 @@ class _Task:
     index: int
     key: str
     item: Any
+    batch: _PoolBatch
     attempt: int = 0
     not_before: float = 0.0
+
+
+def _check_budget(max_retries: int, cell_timeout: Optional[float]) -> None:
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ValueError("cell_timeout must be positive, got "
+                         f"{cell_timeout}")
+
+
+def _batch_keys(work: Sequence[Any],
+                keys: Optional[Sequence[str]]) -> Sequence[str]:
+    if keys is None:
+        return [str(index) for index in range(len(work))]
+    if len(keys) != len(work):
+        raise ValueError(f"{len(work)} item(s) but {len(keys)} key(s)")
+    return keys
 
 
 class _Worker:
@@ -198,8 +222,9 @@ class SupervisedExecutor:
     landed result (treated as a failed attempt -- this is how the
     sweep runner turns corrupted or oversized records into retries).
     ``procs <= 1`` with no chaos and no timeout runs inline -- same
-    retry and quarantine semantics, zero multiprocessing overhead --
-    matching the old serial ``parallel_map`` fast path.
+    retry and quarantine semantics, zero multiprocessing overhead.
+    Every other call is one batch on a private :class:`PoolSupervisor`
+    of ``min(procs, len(items))`` workers, torn down when it settles.
     """
 
     def __init__(self, fn: Callable[[Any], Any], *, procs: int = 1,
@@ -210,11 +235,7 @@ class SupervisedExecutor:
                  chaos: Optional[ExecutorChaos] = None,
                  validate: Optional[
                      Callable[[Any, str], Optional[str]]] = None) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive, got "
-                             f"{cell_timeout}")
+        _check_budget(max_retries, cell_timeout)
         self.fn = fn
         self.procs = procs
         self.cell_timeout = cell_timeout
@@ -239,28 +260,32 @@ class SupervisedExecutor:
         interrupt cannot orphan workers.  ``on_dispatch(index, key,
         attempt)`` fires as each attempt *starts* (``attempt`` is
         0-based), which is how the sweep runner journals "began paying
-        for this cell" before the worker can crash.
+        for this cell" before the worker can crash.  Off the inline
+        path both hooks run on the pool's supervision thread while
+        this call blocks.
         """
         work = list(items)
-        if keys is None:
-            keys = [str(index) for index in range(len(work))]
-        elif len(keys) != len(work):
-            raise ValueError(f"{len(work)} item(s) but {len(keys)} "
-                             "key(s)")
-        outcome = ExecutionOutcome()
+        keys = _batch_keys(work, keys)
         if not work:
-            return outcome
+            return ExecutionOutcome()
         if (self.procs <= 1 and self.chaos is None
                 and self.cell_timeout is None):
-            self._run_inline(work, keys, on_result, on_dispatch, outcome)
-            return outcome
-        self._run_supervised(work, keys, on_result, on_dispatch, outcome)
-        return outcome
+            return self._run_inline(work, keys, on_result, on_dispatch)
+        with PoolSupervisor(
+                self.fn, procs=min(self.procs, len(work)),
+                cell_timeout=self.cell_timeout,
+                max_retries=self.max_retries,
+                backoff_base=self.backoff_base,
+                backoff_cap=self.backoff_cap, chaos=self.chaos,
+                validate=self.validate) as pool:
+            return pool.run_batch(work, keys, on_result=on_result,
+                                  on_dispatch=on_dispatch)
 
     # -- serial fast path ------------------------------------------------
 
-    def _run_inline(self, work, keys, on_result, on_dispatch,
-                    outcome: ExecutionOutcome) -> None:
+    def _run_inline(self, work, keys, on_result,
+                    on_dispatch) -> ExecutionOutcome:
+        outcome = ExecutionOutcome()
         for index, (item, key) in enumerate(zip(work, keys)):
             attempt = 0
             while True:
@@ -290,138 +315,7 @@ class SupervisedExecutor:
                 attempt += 1
                 time.sleep(backoff_delay(attempt, self.backoff_base,
                                          self.backoff_cap))
-
-    # -- supervised pool -------------------------------------------------
-
-    def _run_supervised(self, work, keys, on_result, on_dispatch,
-                        outcome: ExecutionOutcome) -> None:
-        ctx = pool_context()
-        pending: List[_Task] = [
-            _Task(index=index, key=key, item=item)
-            for index, (item, key) in enumerate(zip(work, keys))]
-        workers: List[_Worker] = []
-        try:
-            for _ in range(max(1, min(self.procs, len(pending)))):
-                workers.append(_Worker(ctx, self.fn, self.chaos))
-            while pending or any(w.task is not None for w in workers):
-                now = time.monotonic()
-                self._dispatch(workers, pending, outcome, ctx, now,
-                               on_dispatch)
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    # nothing in flight: the head of the queue is
-                    # backing off; sleep just past its eligibility
-                    wake = min(task.not_before for task in pending)
-                    time.sleep(max(0.0, min(wake - now, self.backoff_cap))
-                               or _TICK)
-                    continue
-                ready = connection.wait([w.conn for w in busy],
-                                        timeout=_TICK)
-                for worker in busy:
-                    if worker.conn in ready:
-                        self._collect(worker, workers, pending, outcome,
-                                      ctx, on_result)
-                self._reap_timeouts(workers, pending, outcome, ctx)
-        finally:
-            for worker in workers:
-                worker.kill()
-
-    def _spawn_replacement(self, workers: List[_Worker], dead: _Worker,
-                           outcome: ExecutionOutcome, ctx) -> None:
-        dead.kill()
-        workers[workers.index(dead)] = _Worker(ctx, self.fn, self.chaos)
-        outcome.respawns += 1
-
-    def _dispatch(self, workers, pending: List[_Task],
-                  outcome: ExecutionOutcome, ctx, now: float,
-                  on_dispatch=None) -> None:
-        for worker in workers:
-            if worker.task is not None:
-                continue
-            eligible = next((task for task in pending
-                             if task.not_before <= now), None)
-            if eligible is None:
-                return
-            pending.remove(eligible)
-            outcome.attempts[eligible.index] = eligible.attempt + 1
-            try:
-                worker.conn.send((eligible.index, eligible.key,
-                                  eligible.attempt, eligible.item))
-            except (BrokenPipeError, OSError):
-                # the idle worker died between cells: replace it and
-                # put the cell back without charging its budget
-                pending.insert(0, eligible)
-                self._spawn_replacement(workers, worker, outcome, ctx)
-                return
-            if on_dispatch is not None:
-                on_dispatch(eligible.index, eligible.key, eligible.attempt)
-            worker.task = eligible
-            worker.deadline = (now + self.cell_timeout
-                               if self.cell_timeout is not None else None)
-
-    def _collect(self, worker: _Worker, workers, pending, outcome,
-                 ctx, on_result) -> None:
-        """Drain one readable worker pipe: a result, an error, or EOF."""
-        task = worker.task
-        try:
-            message = worker.conn.recv()
-        except (EOFError, OSError):
-            # the worker died mid-cell: pipe EOF first, exitcode for
-            # the report detail; respawn and charge the attempt
-            worker.process.join(0.5)
-            code = worker.process.exitcode
-            self._spawn_replacement(workers, worker, outcome, ctx)
-            self._retry_or_quarantine(
-                task, pending, outcome, reason="worker-crash",
-                detail=f"worker exited with code {code}")
-            return
-        worker.task = None
-        worker.deadline = None
-        status, index, payload = message
-        if index != task.index:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"worker answered cell {index}, "
-                               f"expected {task.index}")
-        if status == "err":
-            self._retry_or_quarantine(task, pending, outcome,
-                                      reason="error", detail=payload)
-            return
-        detail = (self.validate(payload, task.key)
-                  if self.validate else None)
-        if detail is not None:
-            self._retry_or_quarantine(task, pending, outcome,
-                                      reason="bad-result", detail=detail)
-            return
-        outcome.results[task.index] = payload
-        if on_result is not None:
-            on_result(task.index, task.key, payload)
-
-    def _reap_timeouts(self, workers, pending, outcome, ctx) -> None:
-        if self.cell_timeout is None:
-            return
-        now = time.monotonic()
-        for worker in list(workers):
-            if worker.task is None or worker.deadline is None:
-                continue
-            if now < worker.deadline:
-                continue
-            task = worker.task
-            self._spawn_replacement(workers, worker, outcome, ctx)
-            self._retry_or_quarantine(
-                task, pending, outcome, reason="timeout",
-                detail=f"killed after {self.cell_timeout:g}s wall clock")
-
-    def _retry_or_quarantine(self, task: _Task, pending: List[_Task],
-                             outcome: ExecutionOutcome, *, reason: str,
-                             detail: str) -> None:
-        if task.attempt >= self.max_retries:
-            outcome.failures.append(CellFailure(
-                index=task.index, key=task.key,
-                attempts=task.attempt + 1, reason=reason, detail=detail))
-            return
-        task.attempt += 1
-        task.not_before = time.monotonic() + backoff_delay(
-            task.attempt, self.backoff_base, self.backoff_cap)
-        pending.append(task)
+        return outcome
 
 
 # -- shared persistent pool ----------------------------------------------
@@ -445,18 +339,15 @@ class _PoolBatch:
         self.error: Optional[BaseException] = None
 
 
-@dataclass
-class _PoolTask(_Task):
-    batch: Optional[_PoolBatch] = None
-
-
 class PoolSupervisor:
     """One persistent supervised worker pool shared by concurrent jobs.
 
-    The multi-tenant sibling of :class:`SupervisedExecutor`: the same
-    supervision contract (streamed completions, per-cell timeout kill,
-    crash respawn, capped backoff-retry, quarantine), but the workers
-    outlive any single batch and serve every caller:
+    The repository's one supervision loop (streamed completions,
+    per-cell timeout kill, crash respawn, capped backoff-retry,
+    quarantine).  A service keeps one running for every job; a
+    one-shot :class:`SupervisedExecutor` run is a single batch on a
+    private instance.  The workers outlive any single batch and serve
+    every caller:
 
     * **dynamic submission** -- :meth:`run_batch` may be called
       concurrently from many job threads; each call blocks until *its*
@@ -481,11 +372,7 @@ class PoolSupervisor:
                  chaos: Optional[ExecutorChaos] = None,
                  validate: Optional[
                      Callable[[Any, str], Optional[str]]] = None) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive, got "
-                             f"{cell_timeout}")
+        _check_budget(max_retries, cell_timeout)
         self.fn = fn
         self.procs = max(1, procs)
         self.cell_timeout = cell_timeout
@@ -497,7 +384,7 @@ class PoolSupervisor:
         self._lock = threading.Lock()
         #: group id -> FIFO of queued tasks; dict order is the
         #: round-robin rotation (served group moves to the back)
-        self._queues: "OrderedDict[str, List[_PoolTask]]" = OrderedDict()
+        self._queues: "OrderedDict[str, List[_Task]]" = OrderedDict()
         self._batches: Set[_PoolBatch] = set()
         self._wake = threading.Event()
         self._stopping = False
@@ -553,11 +440,7 @@ class PoolSupervisor:
         interleave round-robin.
         """
         work = list(items)
-        if keys is None:
-            keys = [str(index) for index in range(len(work))]
-        elif len(keys) != len(work):
-            raise ValueError(f"{len(work)} item(s) but {len(keys)} "
-                             "key(s)")
+        keys = _batch_keys(work, keys)
         batch = _PoolBatch(group, len(work), on_result, on_dispatch)
         if not work:
             return batch.outcome
@@ -567,8 +450,8 @@ class PoolSupervisor:
                 return batch.outcome
             lane = self._queues.setdefault(group, [])
             for index, (item, key) in enumerate(zip(work, keys)):
-                lane.append(_PoolTask(index=index, key=key, item=item,
-                                      batch=batch))
+                lane.append(_Task(index=index, key=key, item=item,
+                                  batch=batch))
             self._batches.add(batch)
         self._wake.set()
         batch.done.wait()
@@ -601,9 +484,11 @@ class PoolSupervisor:
 
     def _run(self) -> None:
         ctx = pool_context()
-        workers = [_Worker(ctx, self.fn, self.chaos)
-                   for _ in range(self.procs)]
+        workers: List[_Worker] = []
+        crash: Optional[Exception] = None
         try:
+            for _ in range(self.procs):
+                workers.append(_Worker(ctx, self.fn, self.chaos))
             while not self._stopping:
                 now = time.monotonic()
                 self._dispatch(workers, ctx, now)
@@ -617,15 +502,21 @@ class PoolSupervisor:
                     if worker.conn in ready:
                         self._collect(worker, workers, ctx)
                 self._reap_timeouts(workers, ctx)
+        except Exception as err:  # noqa: BLE001 - re-raised in submitters
+            crash = err
         finally:
             for worker in workers:
                 worker.kill()
             # unblock every submitter: whatever had not settled when
-            # the pool died is reported cancelled, never hung
+            # the pool died is reported cancelled, never hung, and a
+            # supervision crash re-raises in each submitting thread
             with self._lock:
+                self._stopping = True
                 self._queues.clear()
                 batches = list(self._batches)
             for batch in batches:
+                if batch.error is None:
+                    batch.error = crash
                 batch.outcome.cancelled = True
                 batch.done.set()
 
@@ -642,7 +533,7 @@ class PoolSupervisor:
         self._wake.wait(delay)
         self._wake.clear()
 
-    def _next_task(self, now: float) -> Optional[_PoolTask]:
+    def _next_task(self, now: float) -> Optional[_Task]:
         """Pop the next eligible task, round-robin across groups."""
         with self._lock:
             for group in list(self._queues):
@@ -707,11 +598,10 @@ class PoolSupervisor:
             batch.done.set()
 
     def _spawn_replacement(self, workers: List[_Worker], dead: _Worker,
-                           batch: Optional[_PoolBatch], ctx) -> None:
+                           batch: _PoolBatch, ctx) -> None:
         dead.kill()
         workers[workers.index(dead)] = _Worker(ctx, self.fn, self.chaos)
-        if batch is not None:
-            batch.outcome.respawns += 1
+        batch.outcome.respawns += 1
 
     def _dispatch(self, workers: List[_Worker], ctx, now: float) -> None:
         for worker in workers:
@@ -743,7 +633,6 @@ class PoolSupervisor:
     def _collect(self, worker: _Worker, workers: List[_Worker],
                  ctx) -> None:
         task = worker.task
-        assert isinstance(task, _PoolTask) and task.batch is not None
         batch = task.batch
         try:
             message = worker.conn.recv()
@@ -787,13 +676,12 @@ class PoolSupervisor:
             if now < worker.deadline:
                 continue
             task = worker.task
-            assert isinstance(task, _PoolTask)
             self._spawn_replacement(workers, worker, task.batch, ctx)
             self._settle_failure(
                 task, reason="timeout",
                 detail=f"killed after {self.cell_timeout:g}s wall clock")
 
-    def _settle_failure(self, task: _PoolTask, *, reason: str,
+    def _settle_failure(self, task: _Task, *, reason: str,
                         detail: str) -> None:
         batch = task.batch
         if batch.cancelled:

@@ -35,12 +35,10 @@ The contract, identical in both modes:
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pathlib
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -55,7 +53,7 @@ from .apps import build_app
 from .cache import DEFAULT_CACHE_DIR, ResultCache, SweepJournal
 from .chaos import ExecutorChaos
 from .events import (CellDone, CellFailed, CellShared, CellStarted,
-                     SweepEvent, adapt_progress_callback)
+                     SweepEvent)
 from .executor import (DEFAULT_MAX_RETRIES, CellFailure, PoolSupervisor,
                        SupervisedExecutor, backoff_delay)
 from .record import canonical_dumps, make_record, merge_records
@@ -329,12 +327,6 @@ class SweepOptions:
     keep_journal: bool = False
     #: typed progress hook; receives every :class:`SweepEvent`
     on_event: Optional[Callable[[SweepEvent], None]] = None
-
-
-#: the deprecated run_sweep keyword spellings SweepOptions replaced
-_LEGACY_SWEEP_KWARGS = frozenset(
-    f.name for f in dataclasses.fields(SweepOptions)
-    if f.name != "on_event") | {"on_progress"}
 
 
 def _validate_worker_record(result: Any, key: str) -> Optional[str]:
@@ -686,8 +678,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
 
 def run_sweep(spec: Union[SweepSpec, Sequence[SweepCell]],
-              options: Optional[SweepOptions] = None,
-              **legacy: Any) -> SweepReport:
+              options: Optional[SweepOptions] = None) -> SweepReport:
     """Run a sweep synchronously: the batch front end of the service.
 
     The sweep is described by a single :class:`SweepOptions`::
@@ -699,36 +690,7 @@ def run_sweep(spec: Union[SweepSpec, Sequence[SweepCell]],
     modes share one code path (:func:`execute_grid`), so everything
     documented there (supervision, retry, quarantine, single-flight,
     resume, byte-identical merged stores) applies verbatim.
-
-    The pre-options keyword arguments (``procs``, ``cache_dir``,
-    ``cache``, ``json_path``, ``preflight``, ``cell_timeout``,
-    ``max_retries``, ``chaos``, ``resume``, ``single_flight``,
-    ``claim_policy``, ``keep_journal``, ``on_progress``) still work but
-    are deprecated: they emit a :class:`DeprecationWarning` and fold
-    into an equivalent options value, so both spellings return
-    identical reports.  The dict-style ``on_progress(key, record)``
-    hook is additionally adapted onto the typed event stream via
-    :func:`repro.lab.events.adapt_progress_callback`.
     """
-    if legacy:
-        unknown = set(legacy) - _LEGACY_SWEEP_KWARGS
-        if unknown:
-            raise TypeError(f"run_sweep() got unexpected keyword "
-                            f"arguments {sorted(unknown)}")
-        if options is not None:
-            raise TypeError(
-                "pass either options= or the deprecated individual "
-                "kwargs, not both")
-        warnings.warn(
-            "run_sweep(spec, procs=..., cache_dir=..., ...) is "
-            "deprecated; pass a single SweepOptions: "
-            "run_sweep(spec, options=SweepOptions(...))",
-            DeprecationWarning, stacklevel=2)
-        on_progress = legacy.pop("on_progress", None)
-        options = SweepOptions(**legacy)
-        if on_progress is not None:
-            options = dataclasses.replace(
-                options, on_event=adapt_progress_callback(on_progress))
     options = options or SweepOptions()
     # lazy: the service module imports this one's grid core
     from .service import SweepService

@@ -16,7 +16,6 @@ validators compare those reads/stores against a sequential execution.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Generator, List, Optional, Sequence
@@ -317,36 +316,14 @@ class SyncScheme(ABC):
                    graph: Optional[DependenceGraph] = None) -> InstrumentedLoop:
         """Wrap ``loop`` in this scheme's synchronization operations."""
 
-    def run(self, loop: Loop, config: Optional[RunConfig] = None,
-            **legacy: Any) -> RunResult:
+    def run(self, loop: Loop,
+            config: Optional[RunConfig] = None) -> RunResult:
         """Convenience: instrument, simulate, optionally validate.
 
         The run is described by a single :class:`RunConfig`::
 
             scheme.run(loop, config=RunConfig(machine=m, wait_bound=500))
-
-        The pre-RunConfig keyword arguments (``graph``, ``machine``,
-        ``validate``, ``wait_bound``) still work but are deprecated:
-        they emit a :class:`DeprecationWarning` and are folded into an
-        equivalent config, so both spellings return identical results.
         """
-        if legacy:
-            unknown = set(legacy) - {"graph", "machine", "validate",
-                                     "wait_bound"}
-            if unknown:
-                raise TypeError(
-                    f"run() got unexpected keyword arguments "
-                    f"{sorted(unknown)}")
-            if config is not None:
-                raise TypeError(
-                    "pass either config= or the deprecated individual "
-                    "kwargs, not both")
-            warnings.warn(
-                "scheme.run(loop, graph=..., machine=..., validate=..., "
-                "wait_bound=...) is deprecated; pass a single "
-                "RunConfig: scheme.run(loop, config=RunConfig(...))",
-                DeprecationWarning, stacklevel=2)
-            config = RunConfig(**legacy)
         config = config or RunConfig()
         machine = config.machine or Machine(MachineConfig())
         if config.metrics == "counters" and machine.config.metrics != \

@@ -8,7 +8,7 @@ from repro.apps.kernels import late_source_loop, triple_nested_loop
 from repro.compiler import doacross_delay
 from repro.depend import DependenceGraph, classify
 from repro.depend.graph import linear_distance
-from repro.schemes import make_scheme, scheme_names
+from repro.schemes import RunConfig, make_scheme, scheme_names
 from repro.sim import Machine, MachineConfig
 
 
@@ -40,7 +40,8 @@ def test_triple_nest_classified_doacross():
 def test_all_schemes_on_triple_nest(name):
     loop = triple_nested_loop(n=3, m=3, k=3)
     machine = Machine(MachineConfig(processors=4))
-    result = make_scheme(name).run(loop, machine=machine)  # validates
+    result = make_scheme(name).run(
+        loop, config=RunConfig(machine=machine))  # validates
     assert result.makespan > 0
 
 
@@ -64,5 +65,5 @@ def test_all_schemes_on_late_source_loop(name):
     every scheme must still validate."""
     loop = late_source_loop(n=24)
     machine = Machine(MachineConfig(processors=8))
-    result = make_scheme(name).run(loop, machine=machine)
+    result = make_scheme(name).run(loop, config=RunConfig(machine=machine))
     assert result.makespan > 0

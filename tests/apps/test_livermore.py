@@ -9,7 +9,7 @@ from repro.apps.livermore import (SUITE, adi_sweep, first_difference,
                                   state_fragment, tridiagonal)
 from repro.compiler import compile_loop, doacross_delay
 from repro.depend import DOACROSS, DOALL, classify
-from repro.schemes import make_scheme
+from repro.schemes import RunConfig, make_scheme
 from repro.sim import Machine, MachineConfig
 
 
@@ -58,20 +58,21 @@ def test_suite_under_every_scheme(name):
     machine = Machine(MachineConfig(processors=4))
     from repro.schemes import scheme_names
     for scheme_name in scheme_names():
-        result = make_scheme(scheme_name).run(loop, machine=machine)
+        result = make_scheme(scheme_name).run(
+            loop, config=RunConfig(machine=machine))
         assert result.makespan > 0
 
 
 def test_doalls_scale_and_chains_do_not():
-    machine1 = Machine(MachineConfig(processors=1))
-    machine8 = Machine(MachineConfig(processors=8))
+    serial = RunConfig(machine=Machine(MachineConfig(processors=1)))
+    wide = RunConfig(machine=Machine(MachineConfig(processors=8)))
     scheme = make_scheme("process-oriented")
 
     hydro = hydro_fragment(n=64)
     chain = tridiagonal(n=64)
-    hydro_speedup = (scheme.run(hydro, machine=machine1).makespan
-                     / scheme.run(hydro, machine=machine8).makespan)
-    chain_speedup = (scheme.run(chain, machine=machine1).makespan
-                     / scheme.run(chain, machine=machine8).makespan)
+    hydro_speedup = (scheme.run(hydro, config=serial).makespan
+                     / scheme.run(hydro, config=wide).makespan)
+    chain_speedup = (scheme.run(chain, config=serial).makespan
+                     / scheme.run(chain, config=wide).makespan)
     assert hydro_speedup > 3.0
     assert chain_speedup < 1.6

@@ -7,7 +7,7 @@ import pytest
 from repro.apps.kernels import fig21_loop
 from repro.compiler.cost_model import estimate_all
 from repro.depend.graph import DependenceGraph
-from repro.schemes import make_scheme
+from repro.schemes import RunConfig, make_scheme
 from repro.sim import Machine, MachineConfig
 
 
@@ -16,8 +16,8 @@ def estimates_and_runs():
     loop = fig21_loop(n=60)
     graph = DependenceGraph(loop)
     estimates = estimate_all(loop, graph, processors=8)
-    machine = Machine(MachineConfig(processors=8))
-    runs = {name: make_scheme(name).run(loop, machine=machine)
+    config = RunConfig(machine=Machine(MachineConfig(processors=8)))
+    runs = {name: make_scheme(name).run(loop, config=config)
             for name in estimates}
     return estimates, runs
 

@@ -7,7 +7,7 @@ import math
 from repro.compiler.delay import (doacross_delay, statement_offsets,
                                   worth_doacross)
 from repro.depend.model import Loop, Statement, ref1
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig
 
 
@@ -80,7 +80,8 @@ def test_prediction_is_a_lower_bound_for_simulation(fig21):
     for a compute-dominated loop."""
     report = doacross_delay(fig21)
     machine = Machine(MachineConfig(processors=8))
-    result = ProcessOrientedScheme().run(fig21, machine=machine)
+    result = ProcessOrientedScheme().run(
+        fig21, config=RunConfig(machine=machine))
     predicted = report.predicted_makespan(fig21.n_iterations, 8)
     assert result.makespan >= predicted
     assert result.makespan <= 4 * predicted

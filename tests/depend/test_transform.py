@@ -11,6 +11,7 @@ from repro.depend import analyze
 from repro.depend.model import Loop, Statement
 from repro.depend.transform import (IllegalTransform, inner_loop_parallel,
                                     interchange, skew, wavefront)
+from repro.schemes import RunConfig
 
 
 def element_access_order(loop: Loop):
@@ -163,8 +164,8 @@ def test_transformed_loop_simulates_under_a_scheme():
     from repro.sim import Machine, MachineConfig
     transformed = wavefront(relaxation_loop(n=5))
     machine = Machine(MachineConfig(processors=4))
-    result = make_scheme("process-oriented").run(transformed,
-                                                 machine=machine)
+    result = make_scheme("process-oriented").run(
+        transformed, config=RunConfig(machine=machine))
     assert result.makespan > 0
 
 
@@ -234,5 +235,6 @@ def test_strip_mined_loop_simulates_under_all_schemes():
     stripped = strip_mine(fig21_loop(n=9, cost=4), 0, 3)
     machine = Machine(MachineConfig(processors=4))
     for name in scheme_names():
-        result = make_scheme(name).run(stripped, machine=machine)
+        result = make_scheme(name).run(
+            stripped, config=RunConfig(machine=machine))
         assert result.makespan > 0

@@ -1,4 +1,4 @@
-"""The typed event vocabulary: round trips, strict decode, the adapter."""
+"""The typed event vocabulary: round trips and strict decode."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 
 from repro.lab import (CellDone, CellFailed, CellShared, CellStarted,
                        EventDecodeError, JobDone, JobSubmitted,
-                       adapt_progress_callback, event_from_json,
-                       event_from_line)
+                       event_from_json, event_from_line)
 from repro.lab.events import EVENT_SCHEMA_VERSION
 
 
@@ -68,16 +67,3 @@ def test_undecodable_line_is_a_decode_error():
     with pytest.raises(EventDecodeError):
         event_from_json(json.loads('["a", "list"]'))
 
-
-def test_adapter_replays_exactly_the_old_calls():
-    """cell-done and concurrent cell-shared fire; everything else not."""
-    calls = []
-    consume = adapt_progress_callback(
-        lambda key, record: calls.append((key, record)))
-    for event in ONE_OF_EACH:
-        consume(event)
-    assert calls == [("cell-a", {"key": "cell-a", "outcome": "ok"}),
-                     ("cell-b", {"key": "cell-b"})]
-    # warm cache hits never reached the old hook
-    consume(CellShared(key="warm", via="cache", record={"key": "warm"}))
-    assert len(calls) == 2

@@ -1,9 +1,8 @@
-"""The SweepOptions surface and the legacy-kwargs deprecation shim.
+"""The SweepOptions surface: one frozen value describes a sweep.
 
-``run_sweep(spec, procs=..., cache_dir=...)`` (the historical 14-kwarg
-spelling) must keep working for one release, warn, and produce a report
-identical to the ``options=SweepOptions(...)`` spelling -- the pinned
-regression for the options collapse.
+``run_sweep`` takes the spec and a single :class:`SweepOptions`; loose
+keyword arguments (including the retired ``procs=`` / ``cache_dir=``
+spellings) are a :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -32,42 +31,9 @@ def test_options_are_frozen_and_defaulted():
         options.procs = 4
 
 
-def test_legacy_kwargs_warn_and_match_options_spelling(tmp_path):
-    """The shim regression: identical SweepReport both ways."""
-    with pytest.warns(DeprecationWarning, match="SweepOptions"):
-        legacy = run_sweep(grid_spec(), procs=2,
-                           cache_dir=tmp_path / "legacy",
-                           json_path=tmp_path / "legacy.json")
-    modern = run_sweep(grid_spec(), options=SweepOptions(
-        procs=2, cache_dir=tmp_path / "modern",
-        json_path=tmp_path / "modern.json"))
-    assert legacy.records == modern.records
-    assert (legacy.hits, legacy.misses) == (modern.hits, modern.misses)
-    assert legacy.failed == modern.failed
-    # and the merged stores agree byte for byte
-    assert ((tmp_path / "legacy.json").read_bytes()
-            == (tmp_path / "modern.json").read_bytes())
-
-
-def test_legacy_on_progress_still_fires(tmp_path):
-    seen = []
-    with pytest.warns(DeprecationWarning):
-        run_sweep(grid_spec(), cache_dir=tmp_path,
-                  on_progress=lambda key, record: seen.append(key))
-    assert len(seen) == 4
-    # warm rerun: cache hits never fired the legacy callback
-    seen.clear()
-    with pytest.warns(DeprecationWarning):
-        run_sweep(grid_spec(), cache_dir=tmp_path,
-                  on_progress=lambda key, record: seen.append(key))
-    assert seen == []
-
-
 def test_unknown_kwarg_is_a_type_error(tmp_path):
     with pytest.raises(TypeError, match="bogus"):
         run_sweep(grid_spec(), bogus=1)
+    with pytest.raises(TypeError, match="procs"):
+        run_sweep(grid_spec(), procs=2, cache_dir=tmp_path)
 
-
-def test_mixing_options_and_legacy_kwargs_is_a_type_error(tmp_path):
-    with pytest.raises(TypeError, match="options"):
-        run_sweep(grid_spec(), options=SweepOptions(), procs=2)

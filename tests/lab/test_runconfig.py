@@ -1,31 +1,17 @@
-"""The RunConfig API and its backward-compatibility shim."""
+"""The RunConfig API: one immutable value describes an instrumented run."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.apps.kernels import fig21_loop
-from repro.schemes import RunConfig, make_scheme, scheme_names
+from repro.schemes import RunConfig, make_scheme
 from repro.sim import Machine, MachineConfig
 
 
 def _fingerprint(result):
     return (result.summary(),
             [(r.commit, r.kind, r.addr, r.value) for r in result.trace])
-
-
-@pytest.mark.parametrize("name", scheme_names())
-def test_legacy_kwargs_and_config_agree(name):
-    """Both spellings of run() must return identical RunResults."""
-    loop = fig21_loop(n=20)
-    machine = Machine(MachineConfig(processors=4))
-    via_config = make_scheme(name).run(
-        loop, config=RunConfig(machine=machine, validate=True,
-                               wait_bound=100_000))
-    with pytest.warns(DeprecationWarning, match="RunConfig"):
-        via_kwargs = make_scheme(name).run(
-            loop, machine=machine, validate=True, wait_bound=100_000)
-    assert _fingerprint(via_config) == _fingerprint(via_kwargs)
 
 
 def test_default_config_matches_no_args():
@@ -36,17 +22,14 @@ def test_default_config_matches_no_args():
     assert _fingerprint(explicit) == _fingerprint(implicit)
 
 
-def test_mixing_config_and_kwargs_rejected():
-    loop = fig21_loop(n=8)
-    with pytest.raises(TypeError, match="not both"):
-        make_scheme("process-oriented").run(
-            loop, config=RunConfig(), validate=False)
-
-
 def test_unknown_kwargs_rejected():
+    """Loose kwargs are not accepted -- including the retired
+    pre-RunConfig spellings such as ``machine=``."""
     loop = fig21_loop(n=8)
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        make_scheme("process-oriented").run(loop, machinery="x")
+    for kwargs in ({"machinery": "x"},
+                   {"machine": Machine(MachineConfig(processors=4))}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_scheme("process-oriented").run(loop, **kwargs)
 
 
 def test_config_is_frozen_and_hashable():

@@ -6,15 +6,15 @@ import pytest
 
 from repro.apps.kernels import fig21_loop
 from repro.report import (compare_results, load_results, save_results)
-from repro.schemes import make_scheme
+from repro.schemes import RunConfig, make_scheme
 from repro.sim import Machine, MachineConfig
 
 
 @pytest.fixture(scope="module")
 def runs():
-    machine = Machine(MachineConfig(processors=4))
+    config = RunConfig(machine=Machine(MachineConfig(processors=4)))
     loop = fig21_loop(n=20)
-    return {name: make_scheme(name).run(loop, machine=machine)
+    return {name: make_scheme(name).run(loop, config=config)
             for name in ("statement-oriented", "process-oriented")}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.schemes import RunConfig
 from repro.schemes.base import execute_statement
 from repro.schemes.process_oriented import ProcessOrientedScheme
 from repro.sim import (BroadcastSyncFabric, Engine, Machine,
@@ -63,9 +64,10 @@ def test_run_helper_requires_trace_for_validation(fig21):
     scheme = ProcessOrientedScheme(processors=4)
     machine = Machine(MachineConfig(processors=4, record_trace=False))
     with pytest.raises(ValueError):
-        scheme.run(fig21, machine=machine, validate=True)
+        scheme.run(fig21, config=RunConfig(machine=machine, validate=True))
     # but runs fine without validation
-    result = scheme.run(fig21, machine=machine, validate=False)
+    result = scheme.run(
+        fig21, config=RunConfig(machine=machine, validate=False))
     assert result.makespan > 0
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.depend.model import Loop, Statement, ref1
-from repro.schemes import make_scheme, scheme_names
+from repro.schemes import RunConfig, make_scheme, scheme_names
 from repro.sim import Machine, MachineConfig
 
 SCHEME_NAMES = scheme_names()
@@ -61,7 +61,7 @@ def test_random_loops_sequentially_equivalent(name, data):
                                     schedule=schedule))
     # scheme.run validates reads, final state and (for non-renaming
     # schemes) per-element dependence commit order
-    result = scheme.run(loop, machine=machine, validate=True)
+    result = scheme.run(loop, config=RunConfig(machine=machine, validate=True))
     assert result.makespan >= 0
 
 
@@ -75,7 +75,7 @@ def test_all_schemes_agree_on_final_state(data):
     finals = []
     for name in ("reference-based", "statement-oriented",
                  "process-oriented"):
-        result = make_scheme(name).run(loop, machine=machine)
+        result = make_scheme(name).run(loop, config=RunConfig(machine=machine))
         arrays_only = {addr: value
                        for addr, value in result.final_memory.items()
                        if addr[0] in ("A", "B")}
@@ -93,7 +93,7 @@ def test_process_oriented_split_fields_equivalent(data):
     for split in (False, True):
         scheme = make_scheme("process-oriented", split_fields=split,
                              n_counters=4)
-        scheme.run(loop, machine=machine, validate=True)
+        scheme.run(loop, config=RunConfig(machine=machine, validate=True))
 
 
 @settings(max_examples=30, deadline=None,
@@ -114,7 +114,8 @@ def test_random_loops_under_harsh_timing(data):
     if name == "process-oriented":
         kwargs["fabric_kwargs"] = {"bus_service": 1, "propagation": 0,
                                    "issue_cost": 0}
-    make_scheme(name, **kwargs).run(loop, machine=machine, validate=True)
+    make_scheme(name, **kwargs).run(
+        loop, config=RunConfig(machine=machine, validate=True))
 
 
 @st.composite
@@ -153,4 +154,5 @@ def test_random_nested_loops_sequentially_equivalent(name, data):
     lex-negative inner components) under every scheme."""
     loop = data.draw(nested_constant_distance_loops())
     machine = Machine(MachineConfig(processors=4))
-    make_scheme(name).run(loop, machine=machine, validate=True)
+    make_scheme(name).run(
+        loop, config=RunConfig(machine=machine, validate=True))

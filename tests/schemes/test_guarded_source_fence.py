@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.depend.model import Loop, Statement, ref1
-from repro.schemes import make_scheme
+from repro.schemes import RunConfig, make_scheme
 from repro.sim import Machine, MachineConfig, MemoryConfig
 
 #: slow posted writes + fast synchronization: the regime where a signal
@@ -53,8 +53,9 @@ def statement_oriented_loop(m: int) -> Loop:
 @pytest.mark.parametrize("m", [2, 3])
 def test_statement_oriented_fences_on_skipped_paths(m):
     machine = Machine(MachineConfig(processors=4, memory=HARSH))
-    make_scheme("statement-oriented").run(statement_oriented_loop(m),
-                                          machine=machine, validate=True)
+    make_scheme("statement-oriented").run(
+        statement_oriented_loop(m),
+        config=RunConfig(machine=machine, validate=True))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -65,4 +66,5 @@ def test_process_oriented_fences_on_skipped_paths(m, style, schedule):
                                     memory=HARSH))
     scheme = make_scheme("process-oriented", style=style,
                          fabric_kwargs=FAST_BUS)
-    scheme.run(guarded_cover_loop(m), machine=machine, validate=True)
+    scheme.run(guarded_cover_loop(m),
+               config=RunConfig(machine=machine, validate=True))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.apps.kernels import fig21_loop, recurrence_loop
 from repro.depend.model import Loop, Statement, ref1
+from repro.schemes import RunConfig
 from repro.schemes.instance_based import InstanceBasedScheme, rename
 from repro.sim import Machine, MachineConfig
 
@@ -67,15 +68,17 @@ def test_storage_blowup_reported():
 
 
 def test_run_validates(fig21, machine4):
-    result = InstanceBasedScheme().run(fig21, machine=machine4)
+    result = InstanceBasedScheme().run(
+        fig21, config=RunConfig(machine=machine4))
     assert result.makespan > 0
     assert result.init_cycles > 0   # version-0 instances materialized
 
 
 def test_run_without_consume(fig21, machine4):
-    consume = InstanceBasedScheme(consume=True).run(fig21,
-                                                    machine=machine4)
-    keep = InstanceBasedScheme(consume=False).run(fig21, machine=machine4)
+    consume = InstanceBasedScheme(consume=True).run(
+        fig21, config=RunConfig(machine=machine4))
+    keep = InstanceBasedScheme(consume=False).run(
+        fig21, config=RunConfig(machine=machine4))
     # consuming reads add one bit-write per read
     assert consume.sync_transactions > keep.sync_transactions
 
@@ -89,15 +92,17 @@ def test_writers_do_not_wait():
     ]
     loop = Loop("anti-only", bounds=((1, 12),), body=body)
     machine = Machine(MachineConfig(processors=4))
-    result = InstanceBasedScheme().run(loop, machine=machine)
+    result = InstanceBasedScheme().run(loop, config=RunConfig(machine=machine))
     assert result.total_spin == 0
 
 
 def test_nested_loop_supported(nested, machine4):
-    result = InstanceBasedScheme().run(nested, machine=machine4)
+    result = InstanceBasedScheme().run(
+        nested, config=RunConfig(machine=machine4))
     assert result.makespan > 0
 
 
 def test_branchy_supported(branchy, machine4):
-    result = InstanceBasedScheme().run(branchy, machine=machine4)
+    result = InstanceBasedScheme().run(
+        branchy, config=RunConfig(machine=machine4))
     assert result.makespan > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.apps.kernels import fig21_loop
+from repro.schemes import RunConfig
 from repro.schemes.reference_based import (ReferenceBasedScheme,
                                            plan_accesses)
 from repro.sim import Machine, MachineConfig
@@ -50,7 +51,7 @@ def test_key_count_is_element_count():
 
 def test_run_validates_and_reports_costs(fig21, machine4):
     scheme = ReferenceBasedScheme()
-    result = scheme.run(fig21, machine=machine4)
+    result = scheme.run(fig21, config=RunConfig(machine=machine4))
     assert result.sync_vars == fig21.bounds[0][1] + 4
     assert result.init_cycles > 0          # key initialization charged
     assert result.sync_transactions > 0    # keys cost memory transactions
@@ -59,8 +60,8 @@ def test_run_validates_and_reports_costs(fig21, machine4):
 def test_init_overhead_scales_with_data_size():
     scheme = ReferenceBasedScheme()
     machine = Machine(MachineConfig(processors=4))
-    small = scheme.run(fig21_loop(n=20), machine=machine)
-    large = scheme.run(fig21_loop(n=80), machine=machine)
+    small = scheme.run(fig21_loop(n=20), config=RunConfig(machine=machine))
+    large = scheme.run(fig21_loop(n=80), config=RunConfig(machine=machine))
     assert large.init_cycles > small.init_cycles
     assert large.sync_vars > small.sync_vars
 
@@ -68,7 +69,7 @@ def test_init_overhead_scales_with_data_size():
 def test_charge_init_flag():
     scheme = ReferenceBasedScheme(charge_init=False)
     machine = Machine(MachineConfig(processors=4))
-    result = scheme.run(fig21_loop(n=20), machine=machine)
+    result = scheme.run(fig21_loop(n=20), config=RunConfig(machine=machine))
     assert result.init_cycles == 0
 
 
@@ -81,5 +82,6 @@ def test_guarded_statements_not_planned_when_skipped(branchy):
 
 
 def test_branchy_runs_correctly(branchy, machine4):
-    result = ReferenceBasedScheme().run(branchy, machine=machine4)
+    result = ReferenceBasedScheme().run(
+        branchy, config=RunConfig(machine=machine4))
     assert result.makespan > 0

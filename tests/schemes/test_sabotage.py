@@ -15,6 +15,7 @@ import pytest
 from repro.apps.kernels import fig21_loop
 from repro.core.codegen import PlannedWait, StatementPlan, SyncPlan
 from repro.depend.model import Loop, Statement, ref1
+from repro.schemes import RunConfig
 from repro.schemes.process_oriented import ProcessOrientedScheme
 from repro.schemes.statement_oriented import StatementOrientedScheme
 from repro.sim import (DeadlockError, Machine, MachineConfig,
@@ -149,7 +150,8 @@ def test_unsabotaged_schemes_pass_the_same_machines():
     loop = tight_loop()
     for scheme in (ProcessOrientedScheme(processors=8),
                    StatementOrientedScheme()):
-        scheme.run(loop, machine=machine())  # raises if invalid
+        scheme.run(
+            loop, config=RunConfig(machine=machine()))  # raises if invalid
 
 
 def test_signaling_before_visibility_detected():
@@ -192,7 +194,8 @@ def test_with_fence_the_same_machine_validates():
                                      "issue_cost": 0})
     slow_writes = Machine(MachineConfig(
         processors=8, memory=MemoryConfig(latency=2, write_latency=60)))
-    scheme.run(loop, machine=slow_writes)  # raises if invalid
+    scheme.run(
+        loop, config=RunConfig(machine=slow_writes))  # raises if invalid
 
 
 def test_off_by_one_wait_distance_detected():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.apps.kernels import fig21_loop, fig21_loop_with_delay
+from repro.schemes import RunConfig
 from repro.schemes.statement_oriented import (StatementOrientedScheme,
                                               at_least)
 from repro.schemes.process_oriented import ProcessOrientedScheme
@@ -47,8 +48,10 @@ def test_horizontal_sharing_hurts_on_delay():
     """
     loop = fig21_loop_with_delay(n=48, slow_iteration=16, slow_cost=900)
     machine = Machine(MachineConfig(processors=8))
-    statement = StatementOrientedScheme().run(loop, machine=machine)
-    process = ProcessOrientedScheme(processors=8).run(loop, machine=machine)
+    statement = StatementOrientedScheme().run(
+        loop, config=RunConfig(machine=machine))
+    process = ProcessOrientedScheme(processors=8).run(
+        loop, config=RunConfig(machine=machine))
     assert process.makespan < statement.makespan
     assert process.total_spin < statement.total_spin
 
@@ -56,45 +59,50 @@ def test_horizontal_sharing_hurts_on_delay():
 def test_without_delay_costs_are_comparable():
     loop = fig21_loop(n=48)
     machine = Machine(MachineConfig(processors=8))
-    statement = StatementOrientedScheme().run(loop, machine=machine)
-    process = ProcessOrientedScheme(processors=8).run(loop, machine=machine)
+    statement = StatementOrientedScheme().run(
+        loop, config=RunConfig(machine=machine))
+    process = ProcessOrientedScheme(processors=8).run(
+        loop, config=RunConfig(machine=machine))
     assert abs(statement.makespan - process.makespan) < \
         0.25 * statement.makespan
 
 
 def test_boundary_awaits_skipped(recurrence, machine4):
     """Await for iteration 0 must be skipped, not deadlock."""
-    result = StatementOrientedScheme().run(recurrence, machine=machine4)
+    result = StatementOrientedScheme().run(
+        recurrence, config=RunConfig(machine=machine4))
     assert result.makespan > 0
 
 
 def test_advance_on_every_path(branchy, machine4):
     """Guarded sources still advance their SC (Example 3's rule);
     otherwise the Advance chain would deadlock."""
-    result = StatementOrientedScheme().run(branchy, machine=machine4)
+    result = StatementOrientedScheme().run(
+        branchy, config=RunConfig(machine=machine4))
     assert result.makespan > 0
 
 
 def test_prune_mode_configurable(fig21, machine4):
     exact = StatementOrientedScheme(prune="exact")
     none = StatementOrientedScheme(prune="none")
-    r_exact = exact.run(fig21, machine=machine4)
-    r_none = none.run(fig21, machine=machine4)
+    r_exact = exact.run(fig21, config=RunConfig(machine=machine4))
+    r_none = none.run(fig21, config=RunConfig(machine=machine4))
     # unpruned enforces more arcs -> at least as many sync operations
     assert r_none.total_sync_ops >= r_exact.total_sync_ops
 
 
 def test_charge_init_flag(fig21, machine4):
     charged = StatementOrientedScheme(charge_init=True).run(
-        fig21, machine=machine4)
+        fig21, config=RunConfig(machine=machine4))
     free = StatementOrientedScheme(charge_init=False).run(
-        fig21, machine=machine4)
+        fig21, config=RunConfig(machine=machine4))
     assert charged.init_cycles > 0
     assert free.init_cycles == 0
 
 
 def test_nested_loop_supported(nested, machine4):
-    result = StatementOrientedScheme().run(nested, machine=machine4)
+    result = StatementOrientedScheme().run(
+        nested, config=RunConfig(machine=machine4))
     assert result.makespan > 0
 
 

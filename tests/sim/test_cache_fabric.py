@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.kernels import fig21_loop
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import (Compute, Engine, Machine, MachineConfig, SharedMemory,
                        SyncRead, SyncUpdate, SyncWrite, WaitUntil)
 from repro.sim.cache_fabric import CachedSyncFabric
@@ -117,7 +117,7 @@ def test_update_invalidates_everyone():
 def test_process_oriented_on_cached_fabric_validates(machine4):
     loop = fig21_loop(n=40)
     scheme = ProcessOrientedScheme(fabric="cached")
-    result = scheme.run(loop, machine=machine4)
+    result = scheme.run(loop, config=RunConfig(machine=machine4))
     assert result.makespan > 0
 
 
@@ -127,9 +127,9 @@ def test_cached_fabric_costs_more_transactions_than_broadcast():
     loop = fig21_loop(n=80)
     machine = Machine(MachineConfig(processors=8))
     broadcast = ProcessOrientedScheme(fabric="broadcast").run(
-        loop, machine=machine)
-    cached = ProcessOrientedScheme(fabric="cached").run(loop,
-                                                        machine=machine)
+        loop, config=RunConfig(machine=machine))
+    cached = ProcessOrientedScheme(fabric="cached").run(
+        loop, config=RunConfig(machine=machine))
     assert cached.sync_transactions > broadcast.sync_transactions
 
 

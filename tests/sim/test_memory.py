@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.schemes import RunConfig
 from repro.sim.memory import MemoryConfig, SharedMemory
 
 
@@ -168,7 +169,7 @@ def test_data_bus_saturation_end_to_end():
             processors=processors, record_trace=False,
             memory=MemoryConfig(bus_service=bus)))
         return ProcessOrientedScheme(processors=processors).run(
-            loop, machine=machine, validate=False).makespan
+            loop, config=RunConfig(machine=machine, validate=False)).makespan
 
     crossbar_gain = makespan(None, 4) / makespan(None, 16)
     bus_gain = makespan(2, 4) / makespan(2, 16)

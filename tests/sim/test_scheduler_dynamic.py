@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.apps.kernels import doall_loop, fig21_loop_with_delay
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig, SCHED_COUNTER
 from repro.sim.scheduler import ChunkSelfScheduler, GuidedSelfScheduler
 
@@ -80,12 +80,12 @@ def test_chunking_cuts_scheduling_traffic_on_doall():
     traffic (the point of [24])."""
     loop = doall_loop(n=120, cost=8)
     scheme = ProcessOrientedScheme()
-    plain = scheme.run(loop, machine=Machine(MachineConfig(
-        processors=8, schedule="self")))
-    chunked = scheme.run(loop, machine=Machine(MachineConfig(
-        processors=8, schedule="chunk", chunk_size=8)))
-    guided = scheme.run(loop, machine=Machine(MachineConfig(
-        processors=8, schedule="guided")))
+    plain = scheme.run(loop, config=RunConfig(machine=Machine(MachineConfig(
+        processors=8, schedule="self"))))
+    chunked = scheme.run(loop, config=RunConfig(machine=Machine(MachineConfig(
+        processors=8, schedule="chunk", chunk_size=8))))
+    guided = scheme.run(loop, config=RunConfig(machine=Machine(MachineConfig(
+        processors=8, schedule="guided"))))
     assert grabs_in(chunked) < grabs_in(plain) / 4
     assert grabs_in(guided) < grabs_in(plain) / 2
     assert chunked.makespan <= plain.makespan * 1.1
@@ -97,10 +97,10 @@ def test_chunking_hurts_doacross_pipelines():
     [23]: fine-grained (self/cyclic) order beats chunked order."""
     loop = fig21_loop_with_delay(n=80, slow_iteration=40, slow_cost=400)
     scheme = ProcessOrientedScheme()
-    plain = scheme.run(loop, machine=Machine(MachineConfig(
-        processors=8, schedule="self")))
-    chunked = scheme.run(loop, machine=Machine(MachineConfig(
-        processors=8, schedule="chunk", chunk_size=8)))
+    plain = scheme.run(loop, config=RunConfig(machine=Machine(MachineConfig(
+        processors=8, schedule="self"))))
+    chunked = scheme.run(loop, config=RunConfig(machine=Machine(MachineConfig(
+        processors=8, schedule="chunk", chunk_size=8))))
     assert chunked.makespan > 1.5 * plain.makespan
 
 
@@ -109,7 +109,8 @@ def test_all_schedules_still_correct():
     scheme = ProcessOrientedScheme()
     for schedule in ("self", "chunk", "guided", "cyclic", "block"):
         machine = Machine(MachineConfig(processors=4, schedule=schedule))
-        result = scheme.run(loop, machine=machine)  # validates
+        result = scheme.run(
+            loop, config=RunConfig(machine=machine))  # validates
         assert result.makespan > 0
 
 

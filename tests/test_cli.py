@@ -104,8 +104,17 @@ def test_chaos_mode_recover_writes_json(tmp_path, capsys):
 
 
 def test_chaos_mode_rejects_unknown_plan(capsys):
-    with pytest.raises(ValueError, match="unknown fault plan"):
-        main(["chaos", "--seeds", "1", "--plans", "nope"])
+    """A --plans or --schemes typo is a parser error (exit 2) that
+    lists the known names, never a traceback."""
+    for flag, name, expected in (
+            ("--plans", "nope", "unknown fault plan 'nope'; known:"),
+            ("--schemes", "bogus", "unknown scheme 'bogus'; known:")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--seeds", "1", flag, name])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "process-oriented" in err or "jitter" in err
 
 
 def test_common_options_uniform_across_modes():

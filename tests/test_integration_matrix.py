@@ -15,7 +15,7 @@ from repro.apps.kernels import (example2_loop, example3_loop, fig21_loop,
                                 triple_nested_loop)
 from repro.depend.transform import wavefront
 from repro.apps.kernels import relaxation_loop
-from repro.schemes import make_scheme, scheme_names
+from repro.schemes import RunConfig, make_scheme, scheme_names
 from repro.sim import Machine, MachineConfig
 
 KERNELS = {
@@ -36,7 +36,8 @@ SCHEDULES = ("self", "chunk", "guided", "cyclic", "block")
 def test_kernel_scheme_matrix(kernel, scheme_name):
     loop = KERNELS[kernel]()
     machine = Machine(MachineConfig(processors=4))
-    result = make_scheme(scheme_name).run(loop, machine=machine)
+    result = make_scheme(scheme_name).run(
+        loop, config=RunConfig(machine=machine))
     assert result.makespan > 0
 
 
@@ -45,7 +46,8 @@ def test_kernel_scheme_matrix(kernel, scheme_name):
 def test_kernel_schedule_matrix(kernel, schedule):
     loop = KERNELS[kernel]()
     machine = Machine(MachineConfig(processors=4, schedule=schedule))
-    result = make_scheme("process-oriented").run(loop, machine=machine)
+    result = make_scheme("process-oriented").run(
+        loop, config=RunConfig(machine=machine))
     assert result.makespan > 0
 
 
@@ -54,7 +56,8 @@ def test_kernel_schedule_matrix(kernel, schedule):
 def test_kernel_processor_matrix(kernel, processors):
     loop = KERNELS[kernel]()
     machine = Machine(MachineConfig(processors=processors))
-    result = make_scheme("process-oriented").run(loop, machine=machine)
+    result = make_scheme("process-oriented").run(
+        loop, config=RunConfig(machine=machine))
     assert result.makespan > 0
 
 
@@ -64,5 +67,5 @@ def test_kernel_fabric_matrix(kernel):
     machine = Machine(MachineConfig(processors=4))
     for fabric in ("broadcast", "cached"):
         scheme = make_scheme("process-oriented", fabric=fabric)
-        result = scheme.run(loop, machine=machine)
+        result = scheme.run(loop, config=RunConfig(machine=machine))
         assert result.makespan > 0

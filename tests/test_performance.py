@@ -12,7 +12,7 @@ import time
 
 from repro.apps.kernels import fig21_loop
 from repro.apps.relaxation import PipelinedRelaxation, run_relaxation
-from repro.schemes import ProcessOrientedScheme
+from repro.schemes import ProcessOrientedScheme, RunConfig
 from repro.sim import Machine, MachineConfig
 
 
@@ -21,7 +21,7 @@ def test_large_doacross_runs_quickly():
     machine = Machine(MachineConfig(processors=16, record_trace=False))
     start = time.perf_counter()
     result = ProcessOrientedScheme(processors=16).run(
-        loop, machine=machine, validate=False)
+        loop, config=RunConfig(machine=machine, validate=False))
     elapsed = time.perf_counter() - start
     assert result.makespan > 0
     assert elapsed < 15.0, f"600-iteration simulation took {elapsed:.1f}s"
@@ -46,7 +46,7 @@ def test_simulation_cost_scales_linearly():
     def wall(n):
         loop = fig21_loop(n=n)
         start = time.perf_counter()
-        scheme.run(loop, machine=machine, validate=False)
+        scheme.run(loop, config=RunConfig(machine=machine, validate=False))
         return time.perf_counter() - start
 
     wall(50)                      # warm-up

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.apps import PipelinedRelaxation, fig21_loop, run_relaxation
-from repro.schemes import make_scheme, scheme_names
+from repro.schemes import RunConfig, make_scheme, scheme_names
 from repro.sim import Machine, MachineConfig
 
 
@@ -49,7 +49,7 @@ def test_accounting_never_exceeds_makespan(name):
     """busy + spin + stall of any processor fits inside the makespan."""
     loop = fig21_loop(n=40)
     machine = Machine(MachineConfig(processors=4))
-    result = make_scheme(name).run(loop, machine=machine)
+    result = make_scheme(name).run(loop, config=RunConfig(machine=machine))
     for stats in result.processors:
         assert stats.accounted <= result.makespan, (name, stats)
         assert stats.done_at <= result.makespan
@@ -60,7 +60,8 @@ def test_total_busy_is_exactly_the_work():
     serial compute time (plus nothing)."""
     loop = fig21_loop(n=40)
     machine = Machine(MachineConfig(processors=4))
-    result = make_scheme("process-oriented").run(loop, machine=machine)
+    result = make_scheme("process-oriented").run(
+        loop, config=RunConfig(machine=machine))
     assert result.total_busy == loop.serial_cycles()
 
 
