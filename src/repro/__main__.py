@@ -13,6 +13,7 @@ Usage::
     python -m repro analyze --gate
     python -m repro doctor [--repair] [--json PATH]
     python -m repro bench-engine --json BENCH_engine.json
+    python -m repro bench-analyze --json BENCH_analyze.json
 
 Reads a mini-Fortran ``DO`` nest (see :mod:`repro.frontend`), runs the
 full pipeline -- dependence analysis, classification, doacross-delay
@@ -69,19 +70,21 @@ entries and deletes stale ones so the next sweep re-simulates exactly
 the damaged cells.  See ``python -m repro doctor --help``.
 
 ``bench-engine`` mode measures raw engine throughput (events per
-second) over the preset grids and appends a schema-versioned entry to
-a benchmark trajectory file; ``--check`` compares the fresh numbers
-against a committed trajectory and fails on a calibration-normalized
+second) over the preset grids, and ``bench-analyze`` measures race
+sanitizer and optimizer throughput; both append a schema-versioned
+entry to a benchmark trajectory file, and ``--check`` compares the
+fresh numbers against a committed trajectory and fails on a
 regression.  See :mod:`repro.bench` and ``python -m repro
 bench-engine --help``.
 
 ``analyze`` mode is the static side of :mod:`repro.analyze`: it proves
 a compiled sync placement enforces every dependence arc (races and
 unsatisfiable waits come back as typed findings with witness
-iterations), optionally drops provably redundant sync arcs
-(``--eliminate``), and cross-checks the verdict with a dynamic
-vector-clock sanitizer.  ``--gate`` verifies every shipped
-app x scheme pair, which is what CI runs.  See
+iterations), optionally runs the placement optimizer that drops
+provably redundant sync arcs (``--optimize``, which also reports the
+farthest-first baseline), and cross-checks the verdict with a dynamic
+vector-clock sanitizer (skipped with ``--static-only``).  ``--gate``
+verifies every shipped app x scheme pair, which is what CI runs.  See
 ``python -m repro analyze --help``.
 """
 
@@ -155,9 +158,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=int, default=3,
                         help="seeds per (scheme, plan) cell (default 3), "
                              "starting at --seed")
-    # pre-unification spelling of --seed; kept as a hidden alias
-    parser.add_argument("--seed-base", dest="seed", type=int,
-                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     parser.add_argument("--schemes", default="all",
                         help="comma-separated scheme names, or 'all'")
     parser.add_argument("--plans", default="all",
@@ -288,11 +288,9 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         "python -m repro analyze",
         "Static happens-before analysis of a compiled sync placement: "
         "prove every dependence arc enforced (or report races with "
-        "witness iterations), detect unsatisfiable waits, drop "
-        "provably redundant sync arcs (or run the cost-model-guided "
-        "placement optimizer), and cross-check the static verdict "
-        "with a dynamic race sanitizer (order-maintenance or "
-        "vector-clock oracle).")
+        "witness iterations), detect unsatisfiable waits, run the "
+        "cost-model-guided placement optimizer, and cross-check the "
+        "static verdict with a dynamic vector-clock race sanitizer.")
     add_common_options(parser)
     parser.add_argument("--app", default=None,
                         help="registered application name "
@@ -305,28 +303,17 @@ def build_analyze_parser() -> argparse.ArgumentParser:
                         help="verify every shipped app x scheme pair "
                              "(restricted by --app/--scheme when "
                              "given) and exit 1 on any finding")
-    parser.add_argument("--eliminate", action="store_true",
-                        help="drop provably redundant sync arcs and "
-                             "replay both placements for identical "
-                             "final state")
     parser.add_argument("--optimize", action="store_true",
                         help="cost-model-guided search over (scheme "
                              "config, fold factor, arc subset); prints "
-                             "the audit trail and validates the winner "
-                             "by byte-identical replay")
-    parser.add_argument("--oracle", default="om", choices=["om", "vc"],
-                        help="dynamic race oracle: DePa order "
-                             "maintenance (om, default) or the "
-                             "reference vector clocks (vc)")
-    parser.add_argument("--om", action="store_true",
-                        help="with --gate: also run every statically "
-                             "clean pair through a sanitized dynamic "
-                             "execution under the chosen --oracle")
+                             "the audit trail and the farthest-first "
+                             "baseline, and validates the winner by "
+                             "byte-identical replay")
     parser.add_argument("--window", type=int, default=None,
                         help="override the unrolled iteration window")
     parser.add_argument("--processors", type=int, default=8,
                         help="machine size for the dynamic cross-check "
-                             "and elimination replay (default 8)")
+                             "and optimizer replay (default 8)")
     parser.add_argument("--schedule", default="self",
                         choices=["self", "chunk", "guided", "cyclic",
                                  "block"])
@@ -341,11 +328,23 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_assignment(parser: argparse.ArgumentParser, flag: str,
+                    token: str):
+    """Split a ``NAME=VALUE`` integer option; a bad one exits 2."""
+    name, _, value = token.partition("=")
+    try:
+        if name:
+            return name, int(value)
+    except ValueError:
+        pass
+    parser.error(f"bad {flag} {token!r}: expected NAME=VALUE with an "
+                 f"integer VALUE")
+
+
 def _analyze_mode(argv) -> int:
-    """Statically verify placements; optionally eliminate + cross-check."""
-    from .analyze import (ANALYZE_SCHEMA_VERSION, dynamic_check, eliminate,
-                          gate, optimize, validate_elimination,
-                          validate_optimization, verify)
+    """Statically verify placements; optionally optimize + cross-check."""
+    from .analyze import (ANALYZE_SCHEMA_VERSION, dynamic_check, gate,
+                          optimize, validate_optimization, verify)
     from .analyze.gate import GATE_PARAMS
     from .depend.graph import DependenceGraph
     from .lab.apps import build_app
@@ -355,16 +354,19 @@ def _analyze_mode(argv) -> int:
     args = parser.parse_args(argv)
 
     if args.gate:
-        result = gate(apps=[args.app] if args.app else None,
-                      schemes=[args.scheme] if args.scheme else None,
-                      dynamic_oracle=args.oracle if args.om else None)
+        try:
+            result = gate(apps=[args.app] if args.app else None,
+                          schemes=[args.scheme] if args.scheme else None,
+                          dynamic=not args.static_only)
+        except ValueError as err:  # an unknown --app
+            parser.error(str(err))
         for line in result.summary_lines():
             print(line)
         print(f"\nanalysis gate: {len(result.reports)} pair(s), "
               f"{len(result.failing)} failing, "
               f"{len(result.skipped)} skipped"
-              + (f", {len(result.dynamic)} dynamically cross-checked "
-                 f"({args.oracle})" if args.om else ""))
+              + ("" if args.static_only else
+                 f", {len(result.dynamic)} dynamically cross-checked"))
         if args.json is not None:
             args.json.write_text(json.dumps({
                 "schema_version": ANALYZE_SCHEMA_VERSION,
@@ -379,15 +381,15 @@ def _analyze_mode(argv) -> int:
     if not args.app or not args.scheme:
         parser.error("need --app and --scheme (or --gate)")
     params = dict(GATE_PARAMS.get(args.app, {}))
-    for override in args.param:
-        name, _, value = override.partition("=")
-        if not name or not value:
-            parser.error(f"bad --param {override!r}: expected NAME=VALUE")
-        params[name] = int(value)
+    params.update(_int_assignment(parser, "--param", override)
+                  for override in args.param)
 
-    loop = build_app(args.app, params)
+    try:
+        loop = build_app(args.app, params)
+        scheme = make_scheme(args.scheme)
+    except (TypeError, ValueError) as err:
+        parser.error(str(err))
     graph = DependenceGraph(loop)
-    scheme = make_scheme(args.scheme)
     report = verify(loop, scheme, graph=graph, window=args.window,
                     app=args.app)
     print(report.summary())
@@ -396,31 +398,9 @@ def _analyze_mode(argv) -> int:
 
     failed = not report.clean and not report.requires_serial
 
-    if args.eliminate and not report.requires_serial:
-        result = eliminate(loop, scheme, graph=graph, app=args.app,
-                           window=args.window)
-        report.redundant = list(result.dropped)
-        summary = result.summary()
-        print(f"\nelimination: {summary['sync_arcs']} arc(s) -> "
-              f"{summary['sync_arcs_after']}, estimated sync ops "
-              f"{summary['sync_ops_before']} -> "
-              f"{summary['sync_ops_after']}")
-        for arc in result.dropped:
-            print(f"  {arc.describe()}")
-        if result.dropped:
-            replay = validate_elimination(loop, scheme, result,
-                                          processors=args.processors,
-                                          schedule=args.schedule)
-            print(f"  replayed both placements: identical final state, "
-                  f"measured sync ops {replay['sync_ops_before']} -> "
-                  f"{replay['sync_ops_after']}, makespan "
-                  f"{replay['makespan_before']} -> "
-                  f"{replay['makespan_after']}")
-
     if args.optimize and not report.requires_serial:
         opt = optimize(loop, scheme, graph=graph, app=args.app,
-                       window=args.window, processors=args.processors,
-                       oracle=args.oracle)
+                       window=args.window, processors=args.processors)
         print(f"\noptimizer: {opt.summary()}")
         for trial in opt.audit:
             label = trial.arc or trial.action
@@ -449,8 +429,7 @@ def _analyze_mode(argv) -> int:
     if not args.static_only and not report.requires_serial:
         verdict = dynamic_check(scheme.instrument(loop, graph),
                                 processors=args.processors,
-                                schedule=args.schedule,
-                                oracle=args.oracle)
+                                schedule=args.schedule)
         if failed:
             # a single schedule staying clean does not contradict a
             # static finding; a dynamic kill corroborates it
@@ -955,22 +934,13 @@ def main(argv=None) -> int:
         return _analyze_mode(argv[1:])
     if argv and argv[0] == "doctor":
         return _doctor_mode(argv[1:])
-    if argv and argv[0] == "bench-engine":
+    if argv and argv[0] in ("bench-engine", "bench-analyze"):
         from .bench import main as bench_main
-        return bench_main(argv[1:])
-    if argv and argv[0] == "bench-analyze":
-        from .bench_analyze import main as bench_analyze_main
-        return bench_analyze_main(argv[1:])
-    args = build_parser().parse_args(argv)
-
-    bindings = {}
-    for binding in args.bind:
-        name, _, value = binding.partition("=")
-        if not name or not value:
-            print(f"bad --bind {binding!r}: expected NAME=VALUE",
-                  file=sys.stderr)
-            return 2
-        bindings[name] = int(value)
+        return bench_main(argv[0], argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    bindings = dict(_int_assignment(parser, "--bind", binding)
+                    for binding in args.bind)
 
     if args.demo:
         source = DEMO_SOURCE

@@ -1,15 +1,21 @@
 """Cost-model-guided synchronization placement optimizer.
 
 Liao-style compiler-directed synchronization optimization (PAPERS.md)
-on top of the PR 4 analysis stack: instead of :mod:`.eliminate`'s
-single greedy farthest-first pass over one fixed scheme configuration,
-the optimizer searches over **(scheme configuration, fold factor X,
-eliminated-arc subset)** per loop, scoring every candidate with the
-analytic :mod:`repro.compiler.cost_model` estimates and admitting only
-candidates the static verifier proves clean (via the shared
-:func:`repro.analyze.eliminate.arc_gate`), with the now-cheap
-order-maintenance sanitizer as the dynamic admission gate on each
-surviving configuration.
+with the verifier as the judge: an arc is redundant iff the placement
+built *without* it still proves every dependence instance covered
+(Midkiff/Padua-style transitive reduction, but program order, the
+remaining arcs and scheme structure such as counter folding's ownership
+chain all count, because the verifier reasons about the compiled
+placement rather than the arc set).  The optimizer applies to the two
+arc-driven schemes (statement-oriented and process-oriented) and
+searches over **(scheme configuration, fold factor X, eliminated-arc
+subset)** per loop, scoring every candidate with the analytic
+:mod:`repro.compiler.cost_model` estimates and admitting only
+candidates the static verifier proves clean (:func:`arc_gate`), with
+the vector-clock sanitizer as the dynamic admission gate on each
+surviving configuration.  Alongside, it runs the single greedy
+farthest-first pass over the input configuration as the baseline the
+search has to beat.
 
 Why cost-guided beats farthest-first: a statement-oriented Await on an
 arc of distance ``d`` executes ``n - d`` times, so dropping a *short*
@@ -35,21 +41,25 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..compiler.cost_model import (estimate_process_oriented,
+                                   estimate_statement_oriented)
 from ..compiler.delay import doacross_delay
 from ..depend.graph import DependenceGraph, SyncArc
 from ..depend.model import Loop
 from ..schemes.base import SyncScheme
 from ..schemes.registry import make_scheme
 from ..sim.machine import Machine, MachineConfig
-from .eliminate import (ARC_SCHEMES, arc_gate, eliminate, estimate_cost,
-                        placement_arcs)
-from .findings import RedundantArc
-from .verifier import AnalysisError
+from .findings import AnalysisReport, RedundantArc
+from .verifier import AnalysisError, verify_instrumented
 
-__all__ = ["OPTIMIZE_SCHEMA_VERSION", "CandidateTrial",
-           "OptimizationReport", "optimize", "validate_optimization"]
+__all__ = ["ARC_SCHEMES", "OPTIMIZE_SCHEMA_VERSION", "CandidateTrial",
+           "OptimizationReport", "placement_arcs", "estimate_cost",
+           "arc_gate", "optimize", "validate_optimization"]
+
+#: schemes whose placement is driven by an explicit arc list
+ARC_SCHEMES = ("statement-oriented", "process-oriented")
 
 #: bump when the OptimizationReport layout changes shape
 OPTIMIZE_SCHEMA_VERSION = 1
@@ -68,6 +78,38 @@ _FOLD_CANDIDATES = (2, 4, 8, 16)
 
 def _arc_key(arc: SyncArc) -> str:
     return f"{arc.src}->{arc.dst} (d={arc.distance})"
+
+
+def placement_arcs(scheme: SyncScheme, instrumented: Any) -> List[SyncArc]:
+    """The arc list an arc-driven scheme actually compiled in."""
+    if scheme.name == "statement-oriented":
+        return list(instrumented.arcs)
+    return list(instrumented.plan.arcs)
+
+
+def estimate_cost(scheme: SyncScheme, loop: Loop, graph: DependenceGraph,
+                  arcs: List[SyncArc]):
+    """Cost-model estimate of ``scheme`` compiled from ``arcs``."""
+    if scheme.name == "statement-oriented":
+        return estimate_statement_oriented(loop, graph, arcs=arcs)
+    return estimate_process_oriented(
+        loop, graph, n_counters=scheme.n_counters, arcs=arcs)
+
+
+def arc_gate(loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
+             arcs: List[SyncArc], *, window: Optional[int],
+             app: str) -> Optional[AnalysisReport]:
+    """Re-instrument from ``arcs`` and statically verify the placement.
+
+    Returns the verifier's report, or ``None`` when the reduced plan is
+    not even analyzable (which every caller treats as "keep the arc").
+    """
+    try:
+        candidate = scheme.instrument(loop, graph, arcs=arcs)
+        return verify_instrumented(candidate, window=window, app=app,
+                                   scheme_name=scheme.name)
+    except AnalysisError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -314,13 +356,36 @@ def _search_config(loop: Loop, graph: DependenceGraph,
             "dropped": dropped, "score": score}
 
 
+def _farthest_first(loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
+                    instrumented: Any, *, window: Optional[int],
+                    app: str) -> Tuple[List[SyncArc], List[SyncArc]]:
+    """(kept, dropped) arcs of one greedy farthest-first pass.
+
+    Farthest-reaching arcs go first: they are the ones transitivity
+    through shorter arcs (or the fold's ownership chain) can cover.  An
+    arc stays dropped only if the placement still verifies clean
+    without it; a placement that is not clean to begin with keeps all.
+    """
+    kept = placement_arcs(scheme, instrumented)
+    dropped: List[SyncArc] = []
+    if not verify_instrumented(instrumented, window=window, app=app,
+                               scheme_name=scheme.name).clean:
+        return kept, dropped
+    for arc in sorted(kept, key=lambda a: (-a.distance, a.src, a.dst)):
+        trial = [other for other in kept if other is not arc]
+        report = arc_gate(loop, scheme, graph, trial, window=window, app=app)
+        if report is not None and report.clean:
+            kept = trial
+            dropped.append(arc)
+    return kept, dropped
+
+
 def optimize(loop: Loop, scheme: SyncScheme, *,
              graph: Optional[DependenceGraph] = None,
              app: str = "?",
              window: Optional[int] = None,
              processors: int = 8,
-             dynamic_gate: bool = True,
-             oracle: str = "om") -> OptimizationReport:
+             dynamic_gate: bool = True) -> OptimizationReport:
     """Search (configuration, fold, arc subset) for the best placement.
 
     The unoptimized input placement is always a member of the search
@@ -328,7 +393,7 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
     objective; ``baseline`` records what farthest-first elimination
     would have done instead.  With ``dynamic_gate`` the winning
     configuration must also survive a sanitized maximally-parallel run
-    through the ``oracle`` race checker before it is admitted.
+    before it is admitted.
     """
     if scheme.name not in ARC_SCHEMES:
         raise AnalysisError(
@@ -357,7 +422,7 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
             config = candidate["scheme"]
             instrumented = config.instrument(loop, graph,
                                              arcs=candidate["kept"])
-            verdict = dynamic_check(instrumented, oracle=oracle)
+            verdict = dynamic_check(instrumented)
             trial = CandidateTrial(
                 scheme=config.name, fold=candidate["fold"],
                 action="dynamic", arc=None,
@@ -386,12 +451,14 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
 
     # Farthest-first baseline on the same input, summarized with its
     # own objective value so beats_baseline is apples to apples.
-    greedy = eliminate(loop, scheme, graph=graph, app=app, window=window)
-    base_ops, base_cycles = _objective(loop, graph, scheme, greedy.kept,
+    kept, dropped = _farthest_first(loop, scheme, graph, instrumented,
+                                    window=window, app=app)
+    base_ops, base_cycles = _objective(loop, graph, scheme, kept,
                                        processors)
-    baseline = dict(greedy.summary())
-    baseline["sync_ops_after"] = base_ops
-    baseline["predicted_cycles_after"] = base_cycles
+    baseline = {"sync_arcs": len(input_arcs), "sync_arcs_after": len(kept),
+                "sync_ops_before": ops_before, "sync_ops_after": base_ops,
+                "dropped": [_arc_key(arc) for arc in dropped],
+                "predicted_cycles_after": base_cycles}
 
     return OptimizationReport(
         app=app, scheme=scheme.name, objective="(sync_ops, cycles)",

@@ -1,4 +1,4 @@
-"""Dynamic race sanitizer -- the verifier's oracle, two backends.
+"""Dynamic race sanitizer -- the verifier's oracle.
 
 Runs an instrumented loop on the simulated machine and replays the
 recorded event stream through a happens-before race analysis.  The
@@ -19,19 +19,16 @@ synchronization write before resuming any waiter it satisfies, so issue
 order is consistent with program order and with every
 release-before-acquire edge -- replaying in ``seq`` order is sound.
 
-Two oracles consume the stream and must agree verdict for verdict:
-
-* ``oracle="om"`` (default): the DePa-style order-maintenance checker
-  in :mod:`repro.analyze.om` -- O(1) per race query, linear-time over
-  the stream, the one that scales to million-event counters-mode runs;
-* ``oracle="vc"``: the original FastTrack-style vector clocks, kept as
-  the independent differential-testing reference.  ``rel`` joins the
-  releaser's clock into the variable's clock then advances the
-  releaser; ``acq`` joins the variable's clock into the acquirer (with
-  a per-(task, variable) revision cache so re-acquiring an unchanged
-  variable no longer re-walks its whole clock -- the profile hotspot);
-  ``upd`` does both.  A data write must be ordered after the location's
-  last write *and* every read since it; a read after the last write.
+The oracle is FastTrack-style vector clocks.  ``rel`` joins the
+releaser's clock into the variable's clock then advances the releaser;
+``acq`` joins the variable's clock into the acquirer (with a
+per-(task, variable) revision cache so re-acquiring an unchanged
+variable does not re-walk its whole clock); ``upd`` does both.  A data
+write must be ordered after the location's last write *and* every read
+since it; a read after the last write.  The clocks out-ran a
+DePa-style order-maintenance checker on every measured workload
+(``docs/analysis.md``); that checker lives in the test suite as the
+independent differential reference.
 
 Verdicts fold in the machine's own failure modes so one call answers
 "did this schedule kill the mutant": a diagnosed deadlock or hazard is
@@ -42,6 +39,7 @@ otherwise ``"clean"``.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,7 +48,6 @@ from ..sim.machine import Machine, MachineConfig
 from ..sim.metrics import RunResult
 from ..sim.validate import ValidationError
 from ..schemes.base import InstrumentedLoop
-from .om import check_stream as _om_check_stream
 
 __all__ = ["RaceEvent", "DynamicVerdict", "event_stream", "check_trace",
            "dynamic_check"]
@@ -132,11 +129,10 @@ def _join(into: Dict[str, int], other: Dict[str, int]) -> None:
 def event_stream(result: RunResult) -> List[Tuple[int, str, Any, str]]:
     """Merged, harness-filtered ``(seq, kind, where, task)`` stream.
 
-    Both oracles consume this one stream, so filtering (and therefore
-    task-boot order) is decided here, once.  Prefers the engine's sync
-    tap when the run carries one -- it is already in issue order and
-    exists even in counters mode; otherwise merges the full trace with
-    the sync trace by ``seq``.
+    Filtering (and therefore task-boot order) is decided here, once.
+    Prefers the engine's sync tap when the run carries one -- it is
+    already in issue order and exists even in counters mode; otherwise
+    merges the full trace with the sync trace by ``seq``.
     """
     tap = getattr(result, "tap", None)
     if tap:
@@ -154,22 +150,23 @@ def event_stream(result: RunResult) -> List[Tuple[int, str, Any, str]]:
     return events
 
 
-def check_trace(result: RunResult, oracle: str = "om") -> List[RaceEvent]:
-    """Replay a run's event stream through a happens-before analysis.
+def check_trace(result: RunResult) -> List[RaceEvent]:
+    """Replay a run's event stream through the vector clocks."""
+    # The pass allocates many small, acyclic clock and read-map dicts;
+    # with the generational collector on, collections triggered by them
+    # re-scan the caller's whole (often large) heap.  Nothing here can
+    # form a cycle, so pause collection for the duration of the pass.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _check_events(event_stream(result))
+    finally:
+        if was_enabled:
+            gc.enable()
 
-    ``oracle="om"`` uses the order-maintenance checker (the default);
-    ``oracle="vc"`` the original vector clocks.  Both return the same
-    races in the same order -- the mutation corpus pins this.
-    """
-    events = event_stream(result)
-    if oracle == "om":
-        return [RaceEvent(*race) for race in _om_check_stream(events)]
-    if oracle != "vc":
-        raise ValueError(f"unknown oracle {oracle!r}; use 'om' or 'vc'")
-    return _check_vc(events)
 
-
-def _check_vc(events: List[Tuple[int, str, Any, str]]) -> List[RaceEvent]:
+def _check_events(events: List[Tuple[int, str, Any, str]]
+                  ) -> List[RaceEvent]:
     clocks = _Clocks()
     var_clocks: Dict[Any, Dict[str, int]] = {}
     var_revision: Dict[Any, int] = {}                  # bumped per release
@@ -229,8 +226,7 @@ def dynamic_check(instrumented: InstrumentedLoop, *,
                   processors: Optional[int] = None,
                   schedule: str = "self",
                   validate: bool = True,
-                  max_races: int = 20,
-                  oracle: str = "om") -> DynamicVerdict:
+                  max_races: int = 20) -> DynamicVerdict:
     """Run one schedule and report how (whether) it kills the placement.
 
     ``processors`` defaults to one per iteration -- the maximally
@@ -246,7 +242,7 @@ def dynamic_check(instrumented: InstrumentedLoop, *,
         result = machine.run(instrumented)
     except HazardError as err:  # includes diagnosed DeadlockError
         return DynamicVerdict(verdict="deadlock", detail=str(err))
-    races = check_trace(result, oracle=oracle)
+    races = check_trace(result)
     if races:
         detail = "; ".join(r.describe() for r in races[:max_races])
         return DynamicVerdict(verdict="race", races=races,

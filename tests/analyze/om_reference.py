@@ -1,9 +1,10 @@
-"""DePa-style graph-fiber order maintenance for race checking.
+"""DePa-style graph-fiber order maintenance: the sanitizer's test reference.
 
-The vector-clock sanitizer carries a per-task dict of per-task ticks and
-joins whole dicts at every synchronization edge; fine for the 10^3-event
-traces of PR 4, hopeless for the 10^6-event traces the counters-mode
-engine now produces.  This module replaces the clocks with the
+The vector-clock sanitizer (:func:`repro.analyze.check_trace`) carries a
+per-task dict of per-task ticks and joins whole dicts at every
+synchronization edge.  This module is an independent second race
+checker over the same event stream, kept in the test suite as the
+differential reference the sanitizer is compared against.  It uses the
 order-maintenance representation of Westrick, Wang & Acar's *DePa*
 (PAPERS.md): each task's execution is a sequence of **fibers**, a fiber
 being a maximal run of events with no *incoming* synchronization edge
@@ -43,7 +44,9 @@ from __future__ import annotations
 import gc
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["OrderMaintenance", "check_stream"]
+from repro.analyze.sanitizer import RaceEvent, event_stream
+
+__all__ = ["OrderMaintenance", "check_stream", "check_result"]
 
 #: bits reserved for the within-fiber offset in a packed position; a
 #: single fiber would need 2^40 events to overflow (never: fibers are
@@ -333,3 +336,10 @@ def _run_check(events, task, step, fibers, frontiers, om,
             om.release(tid, where)
         else:  # "upd"
             om.update(tid, where)
+
+
+def check_result(result: Any) -> List[RaceEvent]:
+    """:func:`check_stream` over the stream ``check_trace`` reads, as
+    :class:`RaceEvent`\\ s, so the two checkers' outputs compare with
+    ``==``."""
+    return [RaceEvent(*race) for race in check_stream(event_stream(result))]

@@ -16,6 +16,9 @@ def test_gate_mode_passes_on_the_shipped_placements(capsys):
     out = capsys.readouterr().out
     assert "0 failing" in out
     assert "fig2.1/statement-oriented" in out
+    # the dynamic cross-check runs by default
+    assert "dynamically cross-checked" in out
+    assert "[dynamic: clean]" in out
 
 
 def test_gate_mode_writes_versioned_reports(tmp_path, capsys):
@@ -28,27 +31,47 @@ def test_gate_mode_writes_versioned_reports(tmp_path, capsys):
     report = AnalysisReport.from_json(
         payload["reports"]["fig2.1/statement-oriented"])
     assert report.clean
+    assert set(payload["dynamic"].values()) == {"clean"}
+    capsys.readouterr()
+    # --static-only skips the dynamic cross-check, as in pair mode
+    assert main(["analyze", "--gate", "--app", "fig2.1", "--static-only",
+                 "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["dynamic"] == {}
+    assert "dynamically" not in capsys.readouterr().out
 
 
 def test_pair_mode_with_elimination_and_findings_json(tmp_path, capsys):
-    path = tmp_path / "findings.json"
+    path = tmp_path / "optimization.json"
     assert main(["analyze", "--app", "fig2.1",
-                 "--scheme", "statement-oriented", "--eliminate",
+                 "--scheme", "statement-oriented", "--optimize",
                  "--json", str(path)]) == 0
     out = capsys.readouterr().out
     assert "clean" in out
-    assert "elimination" in out
+    assert "farthest-first baseline" in out
     assert "identical final state" in out
-    assert "dynamic cross-check" in out and "agrees" in out
-    report = AnalysisReport.read_json(path)
-    assert report.clean
-    assert report.redundant, "dropped arcs belong in the findings JSON"
+    payload = json.loads(path.read_text())
+    assert payload["dropped"], "dropped arcs belong in the report JSON"
+    assert payload["validation"]["final_state_identical"] is True
 
 
 def test_pair_mode_requires_app_and_scheme(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--app", "fig2.1"])
     assert "--gate" in capsys.readouterr().err
+    # bad outside input is a parser error (exit 2), never a traceback
+    for argv, message in [
+            (["--app", "fig2.1", "--scheme", "statement-oriented",
+              "--param", "n=abc"], "bad --param"),
+            (["--app", "fig2.1", "--scheme", "statement-oriented",
+              "--param", "bogus=3"], "bogus"),
+            (["--app", "nosuch", "--scheme", "statement-oriented"],
+             "unknown app"),
+            (["--app", "fig2.1", "--scheme", "nosuch"], "unknown scheme"),
+            (["--gate", "--app", "nosuch"], "unknown app")]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze"] + argv)
+        assert exit_info.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_param_overrides_the_gate_size(capsys):

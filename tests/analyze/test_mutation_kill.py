@@ -1,4 +1,4 @@
-"""Mutation kill: neither oracle is vacuous.
+"""Mutation kill: neither verifier nor sanitizer is vacuous.
 
 Every app x scheme placement gets each eligible sync op deleted or
 weakened, one mutant at a time.  The contract proven here:
@@ -8,13 +8,13 @@ weakened, one mutant at a time.  The contract proven here:
   the dynamic vector-clock sanitizer under a witness-guided schedule;
 * every **weaken** mutant the verifier flags is dynamically killed too;
 * every mutant the verifier passes as clean stays clean dynamically --
-  the two oracles never disagree (the handful of statically-clean
-  weakens are genuinely redundant waits, which is the eliminator's
-  domain, not a missed bug);
+  verifier and sanitizer never disagree (the handful of
+  statically-clean weakens are genuinely redundant waits, which is the
+  optimizer's domain, not a missed bug);
 * on every mutant trace that produced a checkable stream, the
-  order-maintenance and vector-clock sanitizer oracles return the same
-  races in the same order -- the full-corpus differential that lets
-  the fast OM oracle stand in for the clocks everywhere.
+  vector-clock sanitizer and the independent order-maintenance
+  reference (:mod:`.om_reference`) return the same races in the same
+  order -- the full-corpus differential for the shipped oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from repro.analyze import (apply_mutant, check_trace, dynamic_check,
                            verify_instrumented)
 from repro.lab.apps import build_app
 from repro.schemes.registry import make_scheme, scheme_names
+
+from .om_reference import check_result
 
 #: small enough to sweep every mutant in seconds, large enough that
 #: every verification window (2 x max distance, >= the fold factor
@@ -92,20 +94,19 @@ def test_every_mutant_agreed_on(app):
 
 @pytest.mark.parametrize("app", sorted(SMALL))
 def test_oracles_agree_on_every_mutant(app):
-    """OM and VC return identical race lists on every mutant trace.
+    """VC and the OM reference: identical races on every mutant trace.
 
     Diagnosed deadlocks carry no stream (the machine stopped before a
-    trace existed), so both oracles trivially agree there; every other
+    trace existed), so both checkers trivially agree there; every other
     verdict -- clean, race, corruption -- carries the run, and the two
-    oracles must match race for race on it.
+    checkers must match race for race on it.
     """
     for scheme_name in scheme_names():
         for mutant, _static, verdict in _sweep_pair(app, scheme_name):
             if verdict.result is None:
                 continue  # diagnosed deadlock: nothing was traced
-            races_om = check_trace(verdict.result, oracle="om")
-            races_vc = check_trace(verdict.result, oracle="vc")
-            assert races_om == races_vc, (
+            assert check_trace(verdict.result) == check_result(
+                verdict.result), (
                 f"{app}/{scheme_name}/{mutant.label}: oracles disagree")
 
 

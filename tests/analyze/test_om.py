@@ -1,4 +1,4 @@
-"""Order-maintenance oracle: property-tested against brute force.
+"""Order-maintenance reference checker: property-tested against brute force.
 
 The OM structure answers ``precedes`` in O(1) from two-word labels; the
 reference model here is the obvious O(#tasks)-per-event fine-grained
@@ -6,8 +6,8 @@ vector clock that ticks on *every* event and snapshots the full clock
 per event.  Hypothesis drives both over randomized fork/join/sync
 traces (including the prologue boot rule) and compares every pair of
 recorded labels, plus a second differential that runs the full
-streaming race check against the sanitizer's vector-clock oracle on
-the same random streams.
+streaming race check against the sanitizer's vector clocks
+(:func:`repro.analyze.check_trace`) on the same random streams.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze.om import OrderMaintenance, check_stream
-from repro.analyze.sanitizer import RaceEvent, _check_vc
+from repro.analyze import check_trace
+from repro.analyze.sanitizer import RaceEvent
+
+from .om_reference import OrderMaintenance, check_stream
 
 #: two prologue tasks (exercise the boot rule) + three loop tasks
 TASKS = ("init0", "init1", "p0", "p1", "p2")
@@ -150,14 +152,18 @@ def test_precedes_matches_brute_force_vector_clocks(ops):
 @given(PHASED_OPS)
 @settings(max_examples=200, deadline=None)
 def test_streaming_check_agrees_with_vector_clock_oracle(ops):
-    """check_stream and the VC oracle: same races, same order."""
+    """check_stream and check_trace: same races, same order."""
     events = []
     for seq, (task_idx, kind, where) in enumerate(ops):
         place = (ADDRS[where % len(ADDRS)] if kind in ("R", "W")
                  else VARS[where % len(VARS)])
         events.append((seq, kind, place, TASKS[task_idx]))
+
+    class Tapped:  # a run whose sync tap recorded exactly ``events``
+        tap = [(kind, where, task) for _seq, kind, where, task in events]
+
     om_races = [RaceEvent(*race) for race in check_stream(events)]
-    assert om_races == _check_vc(events)
+    assert om_races == check_trace(Tapped())
 
 
 def test_update_is_acquire_step_release():

@@ -46,8 +46,11 @@ def test_serial_loop_reports_and_exits(tmp_path, capsys):
 
 
 def test_bad_bind_rejected(capsys):
-    assert main(["--demo", "--bind", "oops"]) == 2
-    assert "NAME=VALUE" in capsys.readouterr().err
+    for binding in ("oops", "N=abc", "=3"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--demo", "--bind", binding])
+        assert exit_info.value.code == 2
+        assert "NAME=VALUE" in capsys.readouterr().err
 
 
 def test_missing_source_rejected(capsys):
