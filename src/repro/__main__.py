@@ -98,10 +98,11 @@ import time
 
 from .cli import (add_cache_options, add_common_options,
                   add_executor_options, add_service_options,
-                  graceful_sigterm, make_parser)
+                  graceful_sigterm, make_parser, positive)
 from .compiler import compile_loop, run_program
 from .frontend import parse_loop, parse_program
 from .report import render_timeline
+from .schemes import scheme_names
 from .sim import Machine, MachineConfig
 
 DEMO_SOURCE = """
@@ -126,11 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mini-Fortran file containing one DO nest")
     parser.add_argument("--demo", action="store_true",
                         help="use the built-in Fig 2.1 loop (N=64)")
-    parser.add_argument("--processors", type=int, default=8)
-    parser.add_argument("--scheme", default=None,
-                        help="force a scheme (reference-based, "
-                             "instance-based, statement-oriented, "
-                             "process-oriented)")
+    parser.add_argument("--processors", type=positive(), default=8)
+    parser.add_argument("--scheme", default=None, choices=scheme_names(),
+                        help="force a scheme instead of letting the "
+                             "compiler pick")
     parser.add_argument("--objective", default="time",
                         choices=["time", "storage", "traffic"])
     parser.add_argument("--schedule", default="self",
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--program", action="store_true",
                         help="treat the source as several DO nests run "
                              "in sequence with shared arrays")
-    parser.add_argument("--timeline-width", type=int, default=72)
+    parser.add_argument("--timeline-width", type=positive(), default=72)
     return parser
 
 
@@ -155,15 +155,15 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         "run either validates or fails with a diagnosed "
         "structured error.")
     add_common_options(parser)
-    parser.add_argument("--seeds", type=int, default=3,
+    parser.add_argument("--seeds", type=positive(), default=3,
                         help="seeds per (scheme, plan) cell (default 3), "
                              "starting at --seed")
     parser.add_argument("--schemes", default="all",
                         help="comma-separated scheme names, or 'all'")
     parser.add_argument("--plans", default="all",
                         help="comma-separated fault plan presets, or 'all'")
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--n", type=int, default=16,
+    parser.add_argument("--processors", type=positive(), default=4)
+    parser.add_argument("--n", type=positive(), default=16,
                         help="trip count of the swept loop (default 16)")
     parser.add_argument("--recover", action="store_true",
                         help="enable the recovery layer (retransmission, "
@@ -199,10 +199,10 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                              "placement in the grid before simulating "
                              "(see 'python -m repro analyze')")
     add_executor_options(parser)
-    parser.add_argument("--no-single-flight", action="store_true",
-                        help="do not coordinate with other sweeps "
-                             "sharing this cache via per-cell claim "
-                             "files (may duplicate in-flight work)")
+    parser.add_argument("--resume", action="store_true",
+                        help="re-enter an interrupted sweep: completed "
+                             "cells are recovered by cache/journal "
+                             "lookup and never recomputed")
     parser.add_argument("--chaos", default=None, metavar="SPEC",
                         help="inject seeded orchestration faults into "
                              "the executor (testing/CI), e.g. "
@@ -311,7 +311,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
                              "byte-identical replay")
     parser.add_argument("--window", type=int, default=None,
                         help="override the unrolled iteration window")
-    parser.add_argument("--processors", type=int, default=8,
+    parser.add_argument("--processors", type=positive(), default=8,
                         help="machine size for the dynamic cross-check "
                              "and optimizer replay (default 8)")
     parser.add_argument("--schedule", default="self",
@@ -448,11 +448,31 @@ def _analyze_mode(argv) -> int:
     return 1 if failed else 0
 
 
+def _load_specs(parser: argparse.ArgumentParser, tokens, seed: int):
+    """``--spec`` preset names or ``.json`` files, seeds shifted by
+    ``seed``; a bad or missing token exits 2."""
+    from .lab import SweepSpec, make_spec, sweep_presets
+
+    if not tokens:
+        parser.error(f"need at least one --spec (a preset name or a JSON "
+                     f"spec file); presets: {', '.join(sweep_presets())}")
+    specs = []
+    for token in tokens:
+        path = pathlib.Path(token)
+        try:
+            spec = (SweepSpec.from_json(path) if path.suffix == ".json"
+                    else make_spec(token))
+        except (OSError, KeyError, TypeError, ValueError) as err:
+            parser.error(f"bad --spec {token!r}: {err}")
+        specs.append(spec.with_seed_base(seed))
+    return specs
+
+
 def _sweep_mode(argv) -> int:
     """Run declarative sweeps and print per-cell rows + cache stats."""
-    from .lab import (DEFAULT_CACHE_DIR, DEFAULT_MAX_RETRIES, ExecutorChaos,
-                      ResultCache, SweepOptions, SweepSpec, make_spec,
-                      merge_records, run_sweep, sweep_presets)
+    from .lab import (DEFAULT_CACHE_DIR, ExecutorChaos, ResultCache,
+                      SweepOptions, merge_records, run_sweep,
+                      sweep_presets)
     from .report import print_table
 
     parser = build_sweep_parser()
@@ -461,9 +481,7 @@ def _sweep_mode(argv) -> int:
         for name in sweep_presets():
             print(name)
         return 0
-    if not args.spec:
-        parser.error(f"need at least one --spec; presets: "
-                     f"{', '.join(sweep_presets())}")
+    specs = _load_specs(parser, args.spec, args.seed)
     if args.resume and args.no_cache:
         parser.error("--resume recovers completed cells from the cache; "
                      "it cannot be combined with --no-cache")
@@ -473,14 +491,6 @@ def _sweep_mode(argv) -> int:
             chaos = ExecutorChaos.parse(args.chaos, seed=args.chaos_seed)
         except ValueError as err:
             parser.error(f"bad --chaos spec: {err}")
-    max_retries = (args.max_retries if args.max_retries is not None
-                   else DEFAULT_MAX_RETRIES)
-    specs = []
-    for token in args.spec:
-        path = pathlib.Path(token)
-        spec = (SweepSpec.from_json(path) if path.suffix == ".json"
-                else make_spec(token))
-        specs.append(spec.with_seed_base(args.seed))
 
     cache = None
     if not args.no_cache:
@@ -498,9 +508,8 @@ def _sweep_mode(argv) -> int:
                 procs=args.procs, cache=cache, cache_dir=None,
                 preflight=args.preflight,
                 cell_timeout=args.cell_timeout,
-                max_retries=max_retries, chaos=chaos,
-                resume=args.resume,
-                single_flight=not args.no_single_flight)
+                max_retries=args.max_retries, chaos=chaos,
+                resume=args.resume)
             for spec in specs:
                 report = run_sweep(spec, options=options)
                 hits += report.hits
@@ -562,7 +571,7 @@ def _sweep_mode(argv) -> int:
         print(f"wrote {len(failures)} failure(s) to {args.failures_json}")
     if failures:
         print(f"\nDEGRADED: {len(failures)} cell(s) exhausted their "
-              f"retry budget ({max_retries} retrie(s)) and were "
+              f"retry budget ({args.max_retries} retrie(s)) and were "
               "quarantined:")
         for failure in failures:
             print(f"  {failure.describe()}")
@@ -579,13 +588,9 @@ def _chaos_mode(argv) -> int:
                                summarize)
     from .faults.plan import plan_names
     from .report import print_table
-    from .schemes import scheme_names
 
     parser = build_chaos_parser()
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        # a 0-seed sweep would vacuously report the contract as holding
-        parser.error("--seeds must be at least 1")
     schemes = (scheme_names() if args.schemes == "all"
                else args.schemes.split(","))
     plans = plan_names() if args.plans == "all" else args.plans.split(",")
@@ -763,17 +768,15 @@ def _serve_mode(argv) -> int:
     import signal
     import threading
 
-    from .lab import (DEFAULT_CACHE_DIR, DEFAULT_MAX_RETRIES, ServiceServer,
-                      SweepOptions, SweepService)
+    from .lab import (DEFAULT_CACHE_DIR, ServiceServer, SweepOptions,
+                      SweepService)
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-    max_retries = (args.max_retries if args.max_retries is not None
-                   else DEFAULT_MAX_RETRIES)
     options = SweepOptions(
         procs=args.procs, cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
         json_path=args.json, cell_timeout=args.cell_timeout,
-        max_retries=max_retries)
+        max_retries=args.max_retries)
     service = SweepService(options).start()
     resumed = [row["job"] for row in service.status()]
     server = ServiceServer(service, args.socket).start()
@@ -813,21 +816,15 @@ def _serve_mode(argv) -> int:
 
 def _submit_mode(argv) -> int:
     """Submit specs to a running service; optionally stream them."""
-    from .lab import ServiceClient, ServiceError, SweepSpec, make_spec
+    from .lab import ServiceClient, ServiceError
 
     parser = build_submit_parser()
     args = parser.parse_args(argv)
-    if not args.spec:
-        parser.error("need at least one --spec (a preset name or a "
-                     "JSON spec file)")
+    specs = _load_specs(parser, args.spec, args.seed)
     client = ServiceClient(args.socket)
     try:
         jobs = []
-        for token in args.spec:
-            path = pathlib.Path(token)
-            spec = (SweepSpec.from_json(path) if path.suffix == ".json"
-                    else make_spec(token))
-            spec = spec.with_seed_base(args.seed)
+        for spec in specs:
             job = client.submit(spec)
             print(f"{job}  {spec.name}  ({len(spec.cells())} cell(s))")
             jobs.append(job)

@@ -19,8 +19,8 @@ three IO/parallelism flags mean the same thing everywhere:
     :class:`repro.lab.executor.PoolSupervisor`.
 
 Modes that fan cells over supervised workers additionally share the
-executor trio (``--cell-timeout`` / ``--max-retries`` / ``--resume``,
-see :func:`add_executor_options`) and the SIGTERM-as-clean-shutdown
+executor pair (``--cell-timeout`` / ``--max-retries``, see
+:func:`add_executor_options`) and the SIGTERM-as-clean-shutdown
 behavior of :func:`graceful_sigterm`.
 """
 
@@ -30,6 +30,22 @@ import argparse
 import contextlib
 import pathlib
 import signal
+from typing import Any, Callable
+
+
+def positive(kind: Callable[[str], Any] = int, *,
+             or_zero: bool = False) -> Callable[[str], Any]:
+    """An argparse ``type``: ``kind`` values > 0 (>= 0 with ``or_zero``)."""
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if value < 0 or (value == 0 and not or_zero):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if or_zero else '>'} 0, got {text}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def make_parser(prog: str, description: str) -> argparse.ArgumentParser:
@@ -81,27 +97,27 @@ def add_cache_options(parser: argparse.ArgumentParser, *,
 
 def add_executor_options(parser: argparse.ArgumentParser,
                          ) -> argparse.ArgumentParser:
-    """Attach the supervised-executor trio shared by fan-out modes.
+    """Attach the supervised-executor pair shared by fan-out modes.
 
-    ``--cell-timeout`` / ``--max-retries`` / ``--resume`` configure the
+    ``--cell-timeout`` / ``--max-retries`` configure the
     :class:`repro.lab.executor.PoolSupervisor` supervision loop;
     any mode that fans cells over workers takes them with identical
-    semantics.  ``--max-retries`` defaults to None so callers can fill
-    in the executor's own default without importing it here.
+    semantics.
     """
+    from .lab.executor import DEFAULT_MAX_RETRIES
+
     parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        "--cell-timeout", type=positive(float), default=None,
+        metavar="SECONDS",
         help="per-cell wall-clock budget: a cell running longer is "
              "killed and re-dispatched (counts against --max-retries)")
     parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
+        "--max-retries", type=positive(int, or_zero=True),
+        default=DEFAULT_MAX_RETRIES, metavar="N",
         help="extra attempts per cell after the first, with capped "
-             "exponential backoff (default 2); cells that exhaust the "
-             "budget are quarantined and reported, not fatal")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="re-enter an interrupted sweep: completed cells are "
-             "recovered by cache/journal lookup and never recomputed")
+             f"exponential backoff (default {DEFAULT_MAX_RETRIES}); "
+             "cells that exhaust the budget are quarantined and "
+             "reported, not fatal")
     return parser
 
 

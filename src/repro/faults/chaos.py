@@ -25,16 +25,22 @@ Run it as ``python -m repro chaos`` or via :func:`run_chaos_sweep`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
-
-from typing import Any, Union
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Union)
 
 from ..apps.kernels import fig21_loop
 from ..recovery import RecoveryPolicy
 from ..schemes.registry import make_scheme, scheme_names
-from ..sim import (DeadlockError, Machine, MachineConfig,
+from ..sim import (DeadlockError, Machine, MachineConfig, RunResult,
                    SimulationLimitError, ValidationError)
 from .plan import FaultPlan, make_plan, plan_names
+from .watchdog import HazardReport
+
+#: engine guards for every fault-plan run (chaos cases and sweep fault
+#: cells alike): an injected hazard must surface as a diagnosed error,
+#: not a hang
+FAULT_MAX_CYCLES = 2_000_000
+FAULT_STAGNATION_LIMIT = 20_000
 
 #: every outcome the degradation contract allows
 ACCEPTABLE_OUTCOMES = ("ok", "deadlock-diagnosed", "limit-diagnosed",
@@ -90,26 +96,49 @@ class ChaosOutcome:
         }
 
 
-def _hazard_outcome(scheme: str, plan: FaultPlan, kind: str,
-                    err) -> ChaosOutcome:
-    report = err.report
-    diagnosed = report is not None and bool(report.tasks)
-    return ChaosOutcome(
-        scheme=scheme, plan=plan.name or "custom", seed=plan.seed,
-        outcome=f"{kind}-diagnosed" if diagnosed else f"{kind}-undiagnosed",
-        detail=str(err).splitlines()[0],
-        cycle=report.cycle if report is not None else None,
-        blocked_tasks={diag.task: diag.state
-                       for diag in (report.blocked() if diagnosed else [])},
-        recovery=dict(report.recovery) if report is not None else {},
-        recovery_actions=(list(report.recovery_actions)
-                          if report is not None else []))
+class ClassifiedRun(NamedTuple):
+    """One run named by the degradation contract (:func:`run_classified`):
+    the finished run (None when it died), the error's first line (None
+    for ``ok``) and a dead run's hazard report."""
+
+    outcome: str
+    result: Optional[RunResult] = None
+    error: Optional[str] = None
+    report: Optional[HazardReport] = None
+
+
+def run_classified(machine: Machine, instrumented, *,
+                   validate: bool = True) -> ClassifiedRun:
+    """Run ``instrumented`` on ``machine`` and name the outcome.
+
+    The one run-and-classify step behind both :func:`run_chaos_case`
+    and sweep cells (:func:`repro.lab.runner.execute_cell`): a hazard
+    is ``<kind>-diagnosed`` when its :class:`HazardReport` names
+    per-task state and ``<kind>-undiagnosed`` otherwise; a completed
+    run that fails validation is ``corruption-detected``.
+    """
+    try:
+        result = machine.run(instrumented)
+    except (DeadlockError, SimulationLimitError) as err:
+        kind = "deadlock" if isinstance(err, DeadlockError) else "limit"
+        diagnosed = err.report is not None and bool(err.report.tasks)
+        return ClassifiedRun(
+            outcome=f"{kind}-{'' if diagnosed else 'un'}diagnosed",
+            error=str(err).splitlines()[0], report=err.report)
+    if validate:
+        try:
+            instrumented.validate(result)
+        except ValidationError as err:
+            return ClassifiedRun(outcome="corruption-detected",
+                                 result=result,
+                                 error=str(err).splitlines()[0])
+    return ClassifiedRun(outcome="ok", result=result)
 
 
 def run_chaos_case(scheme_name: str, plan: FaultPlan, *,
                    n: int = 16, processors: int = 4,
-                   max_cycles: int = 2_000_000,
-                   stagnation_limit: int = 20_000,
+                   max_cycles: int = FAULT_MAX_CYCLES,
+                   stagnation_limit: int = FAULT_STAGNATION_LIMIT,
                    wait_bound: Optional[int] = 100_000,
                    recover: Union[bool, RecoveryPolicy] = False,
                    loop=None) -> ChaosOutcome:
@@ -124,8 +153,7 @@ def run_chaos_case(scheme_name: str, plan: FaultPlan, *,
     in the hazard report.
     """
     loop = loop if loop is not None else fig21_loop(n=n, cost=8)
-    scheme = make_scheme(scheme_name)
-    instrumented = scheme.instrument(loop)
+    instrumented = make_scheme(scheme_name).instrument(loop)
     if wait_bound is not None:
         instrumented.bound_waits(wait_bound)
     policy: Optional[RecoveryPolicy] = None
@@ -135,28 +163,24 @@ def run_chaos_case(scheme_name: str, plan: FaultPlan, *,
     machine = Machine(MachineConfig(
         processors=processors, fault_plan=plan, max_cycles=max_cycles,
         stagnation_limit=stagnation_limit, recovery=policy))
-    label = plan.name or "custom"
-    try:
-        result = machine.run(instrumented)
-    except DeadlockError as err:
-        return _hazard_outcome(scheme_name, plan, "deadlock", err)
-    except SimulationLimitError as err:
-        return _hazard_outcome(scheme_name, plan, "limit", err)
-    recovery_counters = dict(result.recovery)
-    try:
-        instrumented.validate(result)
-    except ValidationError as err:
-        return ChaosOutcome(
-            scheme=scheme_name, plan=label, seed=plan.seed,
-            outcome="corruption-detected",
-            detail=str(err).splitlines()[0],
-            makespan=result.makespan, fault_events=result.fault_events,
-            recovery=recovery_counters)
-    return ChaosOutcome(
-        scheme=scheme_name, plan=label, seed=plan.seed, outcome="ok",
-        detail=f"makespan {result.makespan}",
-        makespan=result.makespan, fault_events=result.fault_events,
-        recovery=recovery_counters)
+    run = run_classified(machine, instrumented)
+    outcome = ChaosOutcome(scheme=scheme_name, plan=plan.name or "custom",
+                           seed=plan.seed, outcome=run.outcome,
+                           detail=run.error or "")
+    if run.result is not None:
+        outcome.makespan = run.result.makespan
+        outcome.fault_events = run.result.fault_events
+        outcome.recovery = dict(run.result.recovery)
+        if run.outcome == "ok":
+            outcome.detail = f"makespan {run.result.makespan}"
+    elif run.report is not None:
+        # an undiagnosed report has no task rows, so nothing is blocked
+        outcome.cycle = run.report.cycle
+        outcome.blocked_tasks = {diag.task: diag.state
+                                 for diag in run.report.blocked()}
+        outcome.recovery = dict(run.report.recovery)
+        outcome.recovery_actions = list(run.report.recovery_actions)
+    return outcome
 
 
 def _sweep_case(item) -> ChaosOutcome:

@@ -4,7 +4,10 @@ One vocabulary for "what just happened in a sweep", consumed the same
 way everywhere: batch callbacks (``run_sweep(options.on_event)``),
 in-process service subscriptions (:meth:`repro.lab.service.SweepService
 .subscribe`), and the newline-delimited JSON stream the ``serve``
-daemon sends to ``watch`` clients.  The taxonomy:
+daemon sends to ``watch`` clients.  A batch callback receives only the
+four cell events, unstamped (``job=""``, ``seq=0``); ``submitted`` and
+``job-done`` exist only in the service, which stamps every event with
+its job and sequence number.  The taxonomy:
 
 ``submitted``
     a job was accepted and assigned an id (:class:`JobSubmitted`);

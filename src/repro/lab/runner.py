@@ -3,9 +3,8 @@
 :func:`execute_grid` is the one grid-execution core behind both
 entry points:
 
-* :func:`run_sweep` -- the batch API: a thin synchronous wrapper that
-  submits the grid to a one-shot, inline
-  :class:`~repro.lab.service.SweepService` and waits for its report;
+* :func:`run_sweep` -- the batch API: runs the grid synchronously on
+  the caller's thread, with a private executor per batch;
 * :class:`~repro.lab.service.SweepService` -- the server API: many
   concurrent jobs run the same core against one shared supervised
   worker pool.
@@ -25,8 +24,10 @@ The contract, identical in both modes:
   ``resume=True`` recomputing nothing already paid for;
 * **observable** -- progress streams as typed, schema-versioned
   :mod:`~repro.lab.events` (``cell-start`` / ``cell-done`` /
-  ``cell-shared`` / ``cell-failed``), the same stream service
-  subscribers consume;
+  ``cell-shared`` / ``cell-failed``): a batch ``on_event`` hook gets
+  them unstamped (``job=""``, ``seq=0``); service subscribers get the
+  same events stamped with their job and sequence number, between the
+  job's ``submitted`` and ``job-done``;
 * **deterministic** -- records come back in grid order and contain no
   environment facts, so the merged ``BENCH_sweeps.json`` is
   byte-identical whether the sweep ran serially, on 8 workers, from
@@ -44,11 +45,12 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from ..compiler.pipeline import compile_loop
+from ..faults.chaos import (FAULT_MAX_CYCLES, FAULT_STAGNATION_LIMIT,
+                            ClassifiedRun, run_classified)
 from ..faults.plan import make_plan
 from ..recovery import RecoveryPolicy
 from ..schemes.registry import make_scheme
-from ..sim import (DeadlockError, Machine, MachineConfig,
-                   SimulationLimitError, ValidationError)
+from ..sim import Machine, MachineConfig
 from .apps import build_app
 from .cache import DEFAULT_CACHE_DIR, ResultCache, SweepJournal
 from .chaos import ExecutorChaos
@@ -59,11 +61,6 @@ from .executor import (DEFAULT_MAX_RETRIES, CellFailure, PoolSupervisor,
 from .record import canonical_dumps, make_record, merge_records
 from .spec import AUTO_SCHEME, SweepCell, SweepSpec
 from .store import CellClaims, ClaimPolicy, reap_orphan_tmps
-
-#: engine guards applied to fault-plan cells (mirrors the chaos harness:
-#: an injected hazard must surface as a diagnosed error, not a hang)
-FAULT_MAX_CYCLES = 2_000_000
-FAULT_STAGNATION_LIMIT = 20_000
 
 #: a worker result larger than this is rejected (and the attempt
 #: retried): real records are kilobytes, so anything near the limit is
@@ -142,16 +139,13 @@ def _elimination_info(config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
 
 
 def _machine_for(config: Mapping[str, Any]) -> Machine:
-    plan_name = config.get("plan")
-    plan = (make_plan(plan_name, seed=config["seed"])
-            if plan_name else None)
-    policy = RecoveryPolicy() if (plan is not None
-                                  and config.get("recover")) else None
     kwargs: Dict[str, Any] = {}
-    if plan is not None:
-        kwargs.update(fault_plan=plan, recovery=policy,
-                      max_cycles=FAULT_MAX_CYCLES,
-                      stagnation_limit=FAULT_STAGNATION_LIMIT)
+    if config.get("plan"):
+        kwargs.update(
+            fault_plan=make_plan(config["plan"], seed=config["seed"]),
+            recovery=RecoveryPolicy() if config.get("recover") else None,
+            max_cycles=FAULT_MAX_CYCLES,
+            stagnation_limit=FAULT_STAGNATION_LIMIT)
     return Machine(MachineConfig(
         processors=config["processors"], schedule=config["schedule"],
         record_trace=bool(config["validate"]), **kwargs))
@@ -162,27 +156,19 @@ def execute_cell(config: Mapping[str, Any],
     """Simulate one cell config and return its versioned record.
 
     Module-level (picklable) so pool workers can run it directly.  The
-    outcome taxonomy matches the chaos harness: ``ok``, ``serial``
-    (compiler declined to parallelize), ``deadlock-diagnosed``,
-    ``limit-diagnosed``, ``corruption-detected``.
+    outcome is ``serial`` when the compiler declined to parallelize;
+    otherwise :func:`repro.faults.chaos.run_classified` names it, so
+    sweep cells and chaos cases share one taxonomy (``ok``,
+    ``deadlock-``/``limit-diagnosed`` or ``-undiagnosed``,
+    ``corruption-detected``).
     """
-    key = key or SweepCell(app=config["app"],
-                           app_params=tuple(sorted(
-                               config["app_params"].items())),
-                           scheme=config["scheme"],
-                           processors=config["processors"],
-                           schedule=config["schedule"],
-                           seed=config["seed"],
-                           wait_bound=config["wait_bound"],
-                           validate=config["validate"],
-                           plan=config.get("plan"),
-                           recover=bool(config.get("recover")),
-                           eliminate=bool(config.get("eliminate"))).key
+    key = key or SweepCell.from_config(config).key
     loop = build_app(config["app"], config["app_params"])
     serial_cycles = loop.serial_cycles()
     elimination = _elimination_info(config)
     machine = _machine_for(config)
     compile_info: Optional[Dict[str, Any]] = None
+    run = ClassifiedRun(outcome="serial")
     if config["scheme"] == AUTO_SCHEME:
         decision = compile_loop(loop, processors=config["processors"])
         compile_info = {
@@ -191,43 +177,20 @@ def execute_cell(config: Mapping[str, Any],
                       if decision.delay is not None else None),
             "scheme": decision.chosen_scheme,
         }
-        if not decision.runs_parallel:
-            return make_record(key, config, outcome="serial",
-                               serial_cycles=serial_cycles,
-                               compile_info=compile_info,
-                               elimination=elimination)
-        instrumented = decision.instrumented
+        instrumented = (decision.instrumented if decision.runs_parallel
+                        else None)
     else:
         instrumented = make_scheme(config["scheme"]).instrument(loop)
-    if config["wait_bound"] is not None:
-        instrumented.bound_waits(config["wait_bound"])
-    try:
-        result = machine.run(instrumented)
-    except DeadlockError as err:
-        return make_record(key, config, outcome="deadlock-diagnosed",
-                           serial_cycles=serial_cycles,
-                           compile_info=compile_info,
-                           elimination=elimination,
-                           error=str(err).splitlines()[0])
-    except SimulationLimitError as err:
-        return make_record(key, config, outcome="limit-diagnosed",
-                           serial_cycles=serial_cycles,
-                           compile_info=compile_info,
-                           elimination=elimination,
-                           error=str(err).splitlines()[0])
-    if config["validate"]:
-        try:
-            instrumented.validate(result)
-        except ValidationError as err:
-            return make_record(key, config, outcome="corruption-detected",
-                               result=result, serial_cycles=serial_cycles,
-                               compile_info=compile_info,
-                               elimination=elimination,
-                               error=str(err).splitlines()[0])
-    return make_record(key, config, outcome="ok", result=result,
+    if instrumented is not None:
+        if config["wait_bound"] is not None:
+            instrumented.bound_waits(config["wait_bound"])
+        run = run_classified(machine, instrumented,
+                             validate=bool(config["validate"]))
+    return make_record(key, config, outcome=run.outcome, result=run.result,
                        serial_cycles=serial_cycles,
                        compile_info=compile_info,
-                       elimination=elimination)
+                       elimination=elimination,
+                       error=run.error)
 
 
 def _worker(item: Tuple[Dict[str, Any], str]) -> Dict[str, Any]:
@@ -319,8 +282,6 @@ class SweepOptions:
     chaos: Optional[ExecutorChaos] = None
     #: re-enter an interrupted sweep via cache/journal lookup
     resume: bool = False
-    #: cooperate with concurrent sweeps via per-cell claim files
-    single_flight: bool = True
     #: timing knobs for claim heartbeats, staleness, and waiting
     claim_policy: Optional[ClaimPolicy] = None
     #: preserve the journal trail of a fully-successful sweep
@@ -350,9 +311,13 @@ def _validate_worker_record(result: Any, key: str) -> Optional[str]:
     return None
 
 
+#: one cold cell: (grid index, config, human key, cache key-or-None);
+#: the cache key is set whenever the sweep has a cache
+_Cold = Tuple[int, Dict[str, Any], str, Optional[str]]
+
+
 def execute_grid(name: str, cells: Sequence[SweepCell],
                  options: Optional[SweepOptions] = None, *,
-                 emit: Optional[Callable[[SweepEvent], None]] = None,
                  supervisor: Optional[PoolSupervisor] = None,
                  claims: Optional[CellClaims] = None,
                  cancel: Optional[threading.Event] = None,
@@ -360,19 +325,18 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
     """Execute one grid of cells: cache-check, supervise misses, merge.
 
     The shared core under :func:`run_sweep` and every
-    :class:`~repro.lab.service.SweepService` job.  Batch callers leave
-    the service hooks at their defaults; the service passes its own:
+    :class:`~repro.lab.service.SweepService` job.  ``options.on_event``
+    receives every :class:`SweepEvent` as it happens.  Batch callers
+    leave the service hooks at their defaults; the service passes its
+    own:
 
-    ``emit``
-        receives every :class:`SweepEvent` as it happens (defaults to
-        ``options.on_event``);
     ``supervisor``
         a running :class:`~repro.lab.executor.PoolSupervisor` shared
         with other jobs (None: a private per-batch
         :class:`SupervisedExecutor`, with the serial inline fast path);
     ``claims``
         a shared :class:`CellClaims` instance (None: one is built and
-        closed here when single-flight applies) -- sharing one instance
+        closed here whenever a cache exists) -- sharing one instance
         is what extends single-flight dedup across a service's jobs:
         a cell in flight for one job is waited on, not recomputed, by
         every other;
@@ -392,8 +356,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
     interrupted sweep recomputing zero already-paid cells.
     """
     options = options or SweepOptions()
-    if emit is None:
-        emit = options.on_event
+    send = options.on_event or (lambda event: None)
     cells = list(cells)
     notes: Dict[str, Any] = {}
     if options.preflight:
@@ -419,10 +382,6 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
         raise ValueError("resume=True needs the result cache: completed "
                          "cells are recovered by cache/journal lookup")
 
-    def send(event: SweepEvent) -> None:
-        if emit is not None:
-            emit(event)
-
     def bail() -> None:
         if cancel is not None and cancel.is_set():
             raise JobCancelled(
@@ -431,8 +390,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
     bail()
     records: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-    #: (grid index, config, human key, cache key-or-None) per cold cell
-    todo: List[Tuple[int, Dict[str, Any], str, Optional[str]]] = []
+    todo: List[_Cold] = []
     cache_keys: List[str] = []
     for index, cell in enumerate(cells):
         config = cell.config()
@@ -460,7 +418,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
     claims_owned = False
     policy = options.claim_policy or ClaimPolicy()
-    if cache is None or not options.single_flight:
+    if cache is None:
         claims = None
     elif claims is None and todo:
         # a SIGKILLed predecessor's half-written tmp files are garbage
@@ -476,6 +434,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
     #: interrupt) are released in the finally block so other writers
     #: never wait out the staleness horizon on an abandoned cell
     acquired: List[str] = []
+    shared = 0
 
     def journal_line(entry: Dict[str, Any]) -> None:
         if journal is not None:
@@ -484,25 +443,45 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
     def serve_shared(index: int, key: str,
                      record: Dict[str, Any]) -> None:
         """Another writer paid for this cell; we just read its entry."""
+        nonlocal shared
         records[index] = record
+        shared += 1
         journal_line({"cell": key, "status": "shared",
                       "pid": os.getpid()})
         send(CellShared(key=key, via="concurrent", record=record))
 
-    def run_batch(batch: List[Tuple[int, Dict[str, Any], str,
-                                    Optional[str]]]) -> None:
+    def try_claim(item: _Cold, claimed: List[_Cold]) -> bool:
+        """Claim one cold cell; False when another writer holds it.
+
+        On True the cell is settled: appended to ``claimed`` for this
+        call to simulate, or served shared when the entry landed
+        between our cache miss and the claim (the double-check).
+        """
+        index, _config, key, cache_key = item
+        if not claims.acquire(cache_key):
+            return False
+        acquired.append(cache_key)
+        record = cache.load(cache_key, count=False)
+        if record is None:
+            claimed.append(item)
+        else:
+            claims.release(cache_key)
+            serve_shared(index, key, record)
+        return True
+
+    def run_batch(batch: List[_Cold]) -> None:
         """Simulate one batch of claimed (or unclaimed) cold cells."""
         def on_landed(position: int, key: str,
                       record: Dict[str, Any]) -> None:
-            index, config, _key, cache_key = batch[position]
+            index, _config, _key, cache_key = batch[position]
             records[index] = record
             # journal as it lands: store first (the durable result),
             # then release the claim (waiters may now read), then the
             # trail line, then the caller's progress hook -- a crash
             # between any two steps loses bookkeeping, never paid work
             if cache is not None:
-                cache.store(cache_key or cache.key_for(config), record)
-            if claims is not None and cache_key is not None:
+                cache.store(cache_key, record)
+            if claims is not None:
                 claims.release(cache_key)
             journal_line({"cell": key, "status": "done",
                           "outcome": record.get("outcome"),
@@ -518,13 +497,10 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
         items = [(config, key) for _i, config, key, _ck in batch]
         keys = [key for _i, _config, key, _ck in batch]
-        wire_dispatch = (on_dispatch
-                         if journal is not None or emit is not None
-                         else None)
         if supervisor is not None:
             outcome = supervisor.run_batch(
                 items, keys=keys, group=group,
-                on_result=on_landed, on_dispatch=wire_dispatch)
+                on_result=on_landed, on_dispatch=on_dispatch)
         else:
             executor = SupervisedExecutor(
                 _worker, procs=options.procs,
@@ -533,7 +509,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
                 validate=_validate_worker_record)
             outcome = executor.run(items, keys=keys,
                                    on_result=on_landed,
-                                   on_dispatch=wire_dispatch)
+                                   on_dispatch=on_dispatch)
         if outcome.cancelled:
             raise JobCancelled(
                 f"job {group or name!r} cancelled mid-batch; landed "
@@ -551,35 +527,19 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
             # would wait out the full staleness horizon for a cell
             # this process has already given up on
             if claims is not None:
-                position = next(i for i, item in enumerate(batch)
-                                if item[2] == failure.key)
-                cache_key = batch[position][3]
-                if cache_key is not None:
-                    claims.release(cache_key)
+                claims.release(next(cache_key for _i, _c, key, cache_key
+                                    in batch if key == failure.key))
         notes["retries"] = notes.get("retries", 0) + outcome.retries
         notes["respawns"] = notes.get("respawns", 0) + outcome.respawns
 
     try:
-        mine: List[Tuple[int, Dict[str, Any], str, Optional[str]]] = []
-        theirs: List[Tuple[int, Dict[str, Any], str, Optional[str]]] = []
-        shared = 0
+        mine: List[_Cold] = []
+        theirs: List[_Cold] = []
         if claims is not None:
             for item in todo:
                 bail()
-                index, _config, key, cache_key = item
-                if not claims.acquire(cache_key):
+                if not try_claim(item, mine):
                     theirs.append(item)
-                    continue
-                acquired.append(cache_key)
-                # double-check under the claim: another writer may have
-                # landed the entry between our cache miss and the claim
-                record = cache.load(cache_key, count=False)
-                if record is not None:
-                    claims.release(cache_key)
-                    serve_shared(index, key, record)
-                    shared += 1
-                else:
-                    mine.append(item)
         else:
             mine = list(todo)
 
@@ -587,48 +547,32 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
             bail()
             run_batch(mine)
 
-        takeovers: List[Tuple[int, Dict[str, Any], str,
-                              Optional[str]]] = []
+        takeovers: List[_Cold] = []
         forced = 0
-        if theirs:
-            # single-flight wait: another job or sweep owns these
-            # cells.  Poll (bounded, with backoff) for either its
-            # landed entry or a stale claim we can take over; past the
-            # wait budget we recompute rather than hang -- duplicated
-            # work degrades gracefully, a stuck sweep does not.
-            pending = list(theirs)
-            deadline = time.monotonic() + policy.wait_timeout
-            spin = 0
-            while pending:
-                bail()
-                still: List[Tuple[int, Dict[str, Any], str,
-                                  Optional[str]]] = []
-                for item in pending:
-                    index, _config, key, cache_key = item
-                    record = cache.load(cache_key, count=False)
-                    if record is not None:
-                        serve_shared(index, key, record)
-                        shared += 1
-                        continue
-                    if claims.acquire(cache_key):
-                        acquired.append(cache_key)
-                        record = cache.load(cache_key, count=False)
-                        if record is not None:
-                            claims.release(cache_key)
-                            serve_shared(index, key, record)
-                            shared += 1
-                        else:
-                            takeovers.append(item)
-                        continue
+        # single-flight wait: another job or sweep owns ``theirs``.
+        # Poll (bounded, with backoff) for either its landed entry or a
+        # stale claim we can take over; past the wait budget we
+        # recompute rather than hang -- duplicated work degrades
+        # gracefully, a stuck sweep does not.
+        pending = theirs
+        deadline = time.monotonic() + policy.wait_timeout
+        spin = 0
+        while pending:
+            bail()
+            still: List[_Cold] = []
+            for item in pending:
+                index, _config, key, cache_key = item
+                record = cache.load(cache_key, count=False)
+                if record is not None:
+                    serve_shared(index, key, record)
+                elif not try_claim(item, takeovers):
                     still.append(item)
-                pending = still
-                if not pending:
-                    break
-                if time.monotonic() >= deadline:
-                    forced = len(pending)
-                    takeovers.extend(pending)
-                    pending = []
-                    break
+            pending = still
+            if pending and time.monotonic() >= deadline:
+                forced = len(pending)
+                takeovers.extend(pending)
+                break
+            if pending:
                 spin += 1
                 time.sleep(backoff_delay(spin, policy.poll_base,
                                          policy.poll_cap))
@@ -645,15 +589,9 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
                 claims.close()
 
     paid = len(mine) + len(takeovers)
-    if shared:
-        notes["shared"] = shared
-    if takeovers:
-        notes["takeovers"] = len(takeovers) - forced
-    if forced:
-        notes["forced"] = forced
-    for count_key in ("retries", "respawns", "takeovers"):
-        if not notes.get(count_key):
-            notes.pop(count_key, None)
+    notes.update(shared=shared, takeovers=len(takeovers) - forced,
+                 forced=forced)
+    notes = {note: value for note, value in notes.items() if value}
 
     failed_keys = {failure.key for failure in failures}
     missing = [key for index, _config, key, _ck in todo
@@ -679,20 +617,21 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
 def run_sweep(spec: Union[SweepSpec, Sequence[SweepCell]],
               options: Optional[SweepOptions] = None) -> SweepReport:
-    """Run a sweep synchronously: the batch front end of the service.
+    """Run a sweep synchronously on the caller's thread.
 
     The sweep is described by a single :class:`SweepOptions`::
 
         run_sweep(spec, options=SweepOptions(procs=8, resume=True))
 
-    and executes as a one-shot, inline
-    :class:`~repro.lab.service.SweepService` job -- batch and server
-    modes share one code path (:func:`execute_grid`), so everything
-    documented there (supervision, retry, quarantine, single-flight,
-    resume, byte-identical merged stores) applies verbatim.
+    ``spec`` is a :class:`SweepSpec` or a bare cell sequence.  It runs
+    straight through :func:`execute_grid`, the core every service job
+    runs too, so everything documented there (supervision, retry,
+    quarantine, single-flight, resume, byte-identical merged stores)
+    applies verbatim.  ``options.on_event`` receives the cell events
+    (``cell-start`` / ``-done`` / ``-shared`` / ``-failed``) without a
+    job stamp; any exception, ``KeyboardInterrupt`` included,
+    propagates unchanged.
     """
-    options = options or SweepOptions()
-    # lazy: the service module imports this one's grid core
-    from .service import SweepService
-    with SweepService(options, inline=True) as service:
-        return service.submit(spec).result()
+    if isinstance(spec, SweepSpec):
+        return execute_grid(spec.name, spec.cells(), options)
+    return execute_grid("cells", spec, options)

@@ -78,6 +78,21 @@ class ServiceClosed(RuntimeError):
     """The service is not accepting submissions (closed or draining)."""
 
 
+def _parse_spec(data: Any) -> Union[SweepSpec, List[SweepCell]]:
+    """A wire or job-file spec: a preset name, a spec object, or
+    ``{"cells": [...]}`` (the form :meth:`SweepService.submit`
+    journals a bare cell list in)."""
+    if isinstance(data, str):
+        return make_spec(data)
+    if isinstance(data, Mapping):
+        if "cells" in data:
+            return [SweepCell.from_config(config)
+                    for config in data["cells"]]
+        return SweepSpec.from_json(dict(data))
+    raise ValueError("spec must be a preset name, a spec object, or "
+                     "{'cells': [...]}")
+
+
 @dataclass
 class _Job:
     """One accepted submission and everything the service knows about it."""
@@ -228,19 +243,14 @@ class JobHandle:
 class SweepService:
     """The long-running sweep server (see the module docstring).
 
-    ``inline=True`` builds the degenerate one-shot service
-    :func:`~repro.lab.runner.run_sweep` wraps: no pool, no shared
-    claims, no threads -- ``submit`` executes the grid synchronously on
-    the caller's thread with exactly the semantics the batch API always
-    had (KeyboardInterrupt propagation included), while still flowing
-    through the same submit/emit/job-lifecycle code as the server.
+    ``options.on_event``, when set, receives every job's events stamped
+    with the job id and per-job ``seq``, ``submitted`` and ``job-done``
+    included.
     """
 
-    def __init__(self, options: Optional[SweepOptions] = None, *,
-                 inline: bool = False) -> None:
+    def __init__(self, options: Optional[SweepOptions] = None) -> None:
         self.options = options or SweepOptions()
         self.cache: Optional[ResultCache] = None
-        self._inline = inline
         self._jobs: "collections.OrderedDict[str, _Job]" = \
             collections.OrderedDict()
         self._subs: List[Subscription] = []
@@ -257,9 +267,6 @@ class SweepService:
         """Bring the service up; resumes any journaled jobs (idempotent)."""
         if self._running:
             return self
-        if self._inline:
-            self._running = True
-            return self
         options = self.options
         cache = options.cache
         if cache is None:
@@ -271,9 +278,8 @@ class SweepService:
         self.cache = cache
         (cache.root / JOBS_DIR).mkdir(parents=True, exist_ok=True)
         reap_orphan_tmps(cache.root)
-        if options.single_flight:
-            self._claims = CellClaims(cache.root,
-                                      options.claim_policy or ClaimPolicy())
+        self._claims = CellClaims(cache.root,
+                                  options.claim_policy or ClaimPolicy())
         self._pool = PoolSupervisor(
             _worker, procs=options.procs,
             cell_timeout=options.cell_timeout,
@@ -307,13 +313,9 @@ class SweepService:
         """Drain, then release every resource (idempotent)."""
         if not self._running:
             return
-        if self._inline:
-            self._running = False
-            return
         self.drain()
-        if self._claims is not None:
-            self._claims.close()
-            self._claims = None
+        self._claims.close()
+        self._claims = None
         with self._lock:
             subs = list(self._subs)
             self._subs.clear()
@@ -358,16 +360,10 @@ class SweepService:
                 raise ValueError(f"job id {job_id!r} already exists")
             job = _Job(id=job_id, name=name, cells=cells, resume=resume)
             self._jobs[job_id] = job
-        if not self._inline:
-            durable_write_text(self._job_path(job_id), json.dumps(
-                {"job_file_version": JOB_FILE_VERSION, "job": job_id,
-                 "spec": spec_json}, sort_keys=True) + "\n")
+        durable_write_text(self._job_path(job_id), json.dumps(
+            {"job_file_version": JOB_FILE_VERSION, "job": job_id,
+             "spec": spec_json}, sort_keys=True) + "\n")
         self._emit(job, JobSubmitted(spec=name, cells=len(cells)))
-        if self._inline:
-            # batch mode: run on the caller's thread, propagate its
-            # exceptions (the run_sweep contract)
-            self._run_job(job)
-            return JobHandle(self, job)
         job.thread = threading.Thread(target=self._run_job, args=(job,),
                                       name=f"sweep-{job_id}", daemon=True)
         job.thread.start()
@@ -375,10 +371,7 @@ class SweepService:
 
     def cancel(self, job_id: str) -> bool:
         """Cancel one job; False if it had already finished."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise KeyError(f"unknown job {job_id!r}")
+        job = self._job(job_id)
         if job.done.is_set():
             return False
         job.user_cancelled = True
@@ -389,20 +382,14 @@ class SweepService:
 
     def status(self, job_id: Optional[str] = None) -> List[Dict[str, Any]]:
         """Status rows for one job or (None) all, submission order."""
+        if job_id is not None:
+            return [self._job(job_id).summary()]
         with self._lock:
-            if job_id is not None:
-                if job_id not in self._jobs:
-                    raise KeyError(f"unknown job {job_id!r}")
-                return [self._jobs[job_id].summary()]
             return [job.summary() for job in self._jobs.values()]
 
     def handle(self, job_id: str) -> JobHandle:
         """The handle of an already-submitted job."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise KeyError(f"unknown job {job_id!r}")
-        return JobHandle(self, job)
+        return JobHandle(self, self._job(job_id))
 
     def subscribe(self, job: Optional[str] = None, *, replay: bool = True,
                   max_pending: int = DEFAULT_MAX_PENDING) -> Subscription:
@@ -415,9 +402,7 @@ class SweepService:
         sub = Subscription(job, max_pending)
         with self._lock:
             if job is not None:
-                target = self._jobs.get(job)
-                if target is None:
-                    raise KeyError(f"unknown job {job!r}")
+                target = self._job(job)
                 if replay:
                     # under the service lock: emitters also take it to
                     # assign seq, so replay-then-attach cannot skip or
@@ -428,6 +413,13 @@ class SweepService:
         return sub
 
     # -- internals -------------------------------------------------------
+
+    def _job(self, job_id: str) -> _Job:
+        with self._lock:
+            job = self._jobs.get(job_id)
+        if job is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        return job
 
     def _emit(self, job: _Job, event: SweepEvent) -> None:
         with self._lock:
@@ -445,66 +437,50 @@ class SweepService:
             sub.push(event)
         hook = self.options.on_event
         if hook is not None:
-            # inline mode: a raising hook aborts the sweep exactly as
-            # the old on_progress did; server mode: it fails the job
             hook(event)
 
     def _run_job(self, job: _Job) -> None:
         job.state = "running"
-        options = self.options
-        if not self._inline:
-            # server jobs always share the service's cache, keep their
-            # journal trail (the dedup accounting clients read), and
-            # resume journaled grids without clearing them
-            options = replace(options, cache=self.cache, cache_dir=None,
-                              keep_journal=True, resume=job.resume,
-                              on_event=None)
+        # jobs always share the service's cache, keep their journal
+        # trail (the dedup accounting clients read), resume journaled
+        # grids without clearing them, and stamp events via _emit
+        options = replace(self.options, cache=self.cache, cache_dir=None,
+                          keep_journal=True, resume=job.resume,
+                          on_event=lambda event: self._emit(job, event))
         try:
             report = execute_grid(
                 job.name, job.cells, options,
-                emit=lambda event: self._emit(job, event),
                 supervisor=self._pool, claims=self._claims,
                 cancel=job.cancel, group=job.id)
         except JobCancelled:
             interrupted = self._draining and not job.user_cancelled
             job.state = "interrupted" if interrupted else "cancelled"
-            if not interrupted:
-                # a drain keeps the job file (the restart will resume
-                # it); an explicit cancel is a client decision, so the
-                # file goes too
-                self._remove_job_file(job)
-            self._emit(job, JobDone(spec=job.name, status=job.state))
-            job.done.set()
-            if self._inline:
-                raise
-        except BaseException as err:  # noqa: BLE001 - recorded, re-raised
+            done = JobDone(spec=job.name, status=job.state)
+        except BaseException as err:  # noqa: BLE001 - recorded on the job
             job.state = "failed"
             job.error = err
-            self._remove_job_file(job)
             text = str(err).splitlines()[0] if str(err) else ""
-            self._emit(job, JobDone(spec=job.name, status="failed",
-                                    error=text or type(err).__name__))
-            job.done.set()
-            if self._inline:
-                raise
+            done = JobDone(spec=job.name, status="failed",
+                           error=text or type(err).__name__)
         else:
             job.state = "done"
             job.report = report
+            done = JobDone(spec=job.name, status="done", hits=report.hits,
+                           misses=report.misses,
+                           shared=report.notes.get("shared", 0),
+                           failed=len(report.failed))
+        if job.state != "interrupted":
+            # a drain keeps the job file (the restart will resume it);
+            # every other ending, an explicit cancel included, removes it
             self._remove_job_file(job)
-            self._emit(job, JobDone(
-                spec=job.name, status="done", hits=report.hits,
-                misses=report.misses,
-                shared=report.notes.get("shared", 0),
-                failed=len(report.failed)))
-            job.done.set()
+        self._emit(job, done)
+        job.done.set()
 
     def _job_path(self, job_id: str) -> pathlib.Path:
         assert self.cache is not None
         return self.cache.root / JOBS_DIR / f"{job_id}.json"
 
     def _remove_job_file(self, job: _Job) -> None:
-        if self._inline or self.cache is None:
-            return
         try:
             self._job_path(job.id).unlink()
         except OSError:
@@ -535,14 +511,8 @@ class SweepService:
                     or data.get("job_file_version") != JOB_FILE_VERSION):
                 continue
             job_id = data.get("job") or path.stem
-            spec_data = data.get("spec") or {}
-            spec: Union[SweepSpec, List[SweepCell]]
             try:
-                if "cells" in spec_data:
-                    spec = [SweepCell.from_config(config)
-                            for config in spec_data["cells"]]
-                else:
-                    spec = SweepSpec.from_json(spec_data)
+                spec = _parse_spec(data.get("spec") or {})
             except (KeyError, TypeError, ValueError):
                 continue
             self.submit(spec, job_id=job_id, resume=True)
@@ -672,7 +642,7 @@ class ServiceServer:
                             draining=self.service._draining)
             elif op == "submit":
                 handle = self.service.submit(
-                    self._parse_spec(request.get("spec")))
+                    _parse_spec(request.get("spec")))
                 self._reply(writer, ok=True, job=handle.job_id,
                             cells=len(handle._job.cells))
             elif op == "status":
@@ -722,18 +692,6 @@ class ServiceServer:
             sub.close()
         self._reply(writer, ok=True, done=True, dropped=sub.dropped)
         return True
-
-    @staticmethod
-    def _parse_spec(data: Any) -> Union[SweepSpec, List[SweepCell]]:
-        if isinstance(data, str):
-            return make_spec(data)
-        if isinstance(data, Mapping):
-            if "cells" in data:
-                return [SweepCell.from_config(config)
-                        for config in data["cells"]]
-            return SweepSpec.from_json(dict(data))
-        raise ValueError("spec must be a preset name, a spec object, or "
-                         "{'cells': [...]}")
 
 
 __all__ = [

@@ -54,11 +54,6 @@ class RunConfig:
     validate: bool = True
     #: cap every emitted wait at this many cycles (None: unbounded)
     wait_bound: Optional[int] = None
-    #: "full" (default): collect traces/events as the machine was
-    #: configured.  "counters": opt-in fast path -- the machine is rerun
-    #: with per-event collection disabled and only end-of-run counters
-    #: are meaningful; validation (which replays the trace) is skipped.
-    metrics: str = "full"
 
 
 class CompiledStatement:
@@ -323,22 +318,17 @@ class SyncScheme(ABC):
         The run is described by a single :class:`RunConfig`::
 
             scheme.run(loop, config=RunConfig(machine=m, wait_bound=500))
+
+        Counters mode is a machine setting; validating a counters run
+        raises :class:`ValueError` (it records no trace).
         """
         config = config or RunConfig()
         machine = config.machine or Machine(MachineConfig())
-        if config.metrics == "counters" and machine.config.metrics != \
-                "counters":
-            # Fast path: same machine, per-event collection disabled.
-            # Validation needs the trace, so it is skipped by contract.
-            from dataclasses import replace as dc_replace
-            machine = Machine(dc_replace(machine.config,
-                                         record_trace=False,
-                                         metrics="counters"))
         instrumented = self.instrument(loop, config.graph)
         if config.wait_bound is not None:
             instrumented.bound_waits(config.wait_bound)
         result = machine.run(instrumented)
-        if config.validate and config.metrics != "counters":
+        if config.validate:
             if not machine.config.record_trace:
                 raise ValueError("validation requires record_trace=True")
             instrumented.validate(result)

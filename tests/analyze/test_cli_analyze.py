@@ -67,7 +67,9 @@ def test_pair_mode_requires_app_and_scheme(capsys):
             (["--app", "nosuch", "--scheme", "statement-oriented"],
              "unknown app"),
             (["--app", "fig2.1", "--scheme", "nosuch"], "unknown scheme"),
-            (["--gate", "--app", "nosuch"], "unknown app")]:
+            (["--gate", "--app", "nosuch"], "unknown app"),
+            (["--app", "fig2.1", "--scheme", "statement-oriented",
+              "--processors", "0"], "--processors: must be > 0")]:
         with pytest.raises(SystemExit) as exit_info:
             main(["analyze"] + argv)
         assert exit_info.value.code == 2, argv

@@ -67,3 +67,22 @@ def test_undecodable_line_is_a_decode_error():
     with pytest.raises(EventDecodeError):
         event_from_json(json.loads('["a", "list"]'))
 
+
+
+def test_batch_on_event_sees_only_cell_events():
+    """A batch ``run_sweep`` hook gets the cell events in order and
+    unstamped; ``submitted``/``job-done`` belong to the service."""
+    from repro.lab import SweepOptions, SweepSpec, run_sweep
+
+    spec = SweepSpec.build("two-cells", apps=[("fig2.1", {"n": 8})],
+                           schemes=["process-oriented",
+                                    "statement-oriented"],
+                           processors=(2,))
+    seen = []
+    run_sweep(spec, SweepOptions(procs=1, cache_dir=None,
+                                 on_event=seen.append))
+    keys = [cell.key for cell in spec.cells()]
+    assert [(event.kind, event.key) for event in seen] == [
+        ("cell-start", keys[0]), ("cell-done", keys[0]),
+        ("cell-start", keys[1]), ("cell-done", keys[1])]
+    assert {(event.job, event.seq) for event in seen} == {("", 0)}

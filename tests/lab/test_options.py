@@ -25,7 +25,7 @@ def grid_spec():
 def test_options_are_frozen_and_defaulted():
     options = SweepOptions()
     assert options.procs == 1
-    assert options.single_flight
+    assert not hasattr(options, "single_flight")
     assert not options.resume
     with pytest.raises(dataclasses.FrozenInstanceError):
         options.procs = 4

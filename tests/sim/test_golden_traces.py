@@ -161,8 +161,7 @@ def _run_loop_case_counters(scheme_name: str, stem: str) -> RunResult:
     machine = Machine(MachineConfig(processors=processors,
                                     schedule=schedule, metrics="counters"))
     return make_scheme(scheme_name).run(
-        loop, config=RunConfig(machine=machine, validate=False,
-                               metrics="counters"))
+        loop, config=RunConfig(machine=machine, validate=False))
 
 
 @pytest.mark.parametrize("stem", sorted(LOOPS))
@@ -216,6 +215,7 @@ def test_random_configs_full_equals_counters(scheme_name: str,
                                       record_trace=True))))
     fast = scheme.run(loop, config=RunConfig(
         machine=Machine(MachineConfig(processors=processors,
-                                      schedule=schedule)),
-        validate=False, metrics="counters"))
+                                      schedule=schedule,
+                                      metrics="counters")),
+        validate=False))
     assert fast.summary() == full.summary()

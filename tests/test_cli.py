@@ -51,6 +51,15 @@ def test_bad_bind_rejected(capsys):
             main(["--demo", "--bind", binding])
         assert exit_info.value.code == 2
         assert "NAME=VALUE" in capsys.readouterr().err
+    # the other run-mode inputs are parser errors too, never tracebacks
+    for argv, message in [
+            (["--processors", "0"], "--processors: must be > 0"),
+            (["--timeline-width", "0"], "--timeline-width: must be > 0"),
+            (["--scheme", "nosuch"], "--scheme: invalid choice: 'nosuch'")]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--demo"] + argv)
+        assert exit_info.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_missing_source_rejected(capsys):
@@ -118,6 +127,11 @@ def test_chaos_mode_rejects_unknown_plan(capsys):
         err = capsys.readouterr().err
         assert expected in err
         assert "process-oriented" in err or "jitter" in err
+    for flag in ("--processors", "--n", "--seeds"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", flag, "0"])
+        assert excinfo.value.code == 2
+        assert f"{flag}: must be > 0" in capsys.readouterr().err
 
 
 def test_common_options_uniform_across_modes():
@@ -148,6 +162,21 @@ def test_sweep_requires_spec(capsys):
     with pytest.raises(SystemExit):
         main(["sweep"])
     assert "--spec" in capsys.readouterr().err
+    # a bad spec token or executor budget is a parser error (exit 2)
+    for argv, message in [
+            (["sweep", "--spec", "nosuch"], "unknown sweep preset"),
+            (["sweep", "--spec", "missing.json"], "No such file"),
+            (["submit", "--spec", "nosuch"], "unknown sweep preset"),
+            (["submit", "--spec", "missing.json"], "No such file"),
+            (["sweep", "--spec", "smoke", "--max-retries", "-1"],
+             "--max-retries: must be >= 0"),
+            (["sweep", "--spec", "smoke", "--cell-timeout", "-1"],
+             "--cell-timeout: must be > 0"),
+            (["serve", "--resume"], "unrecognized arguments: --resume")]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_sweep_cold_then_warm(tmp_path, capsys):
