@@ -11,7 +11,10 @@ up as a fingerprint mismatch.
 The grid covers all four schemes x {fig2.1, the fig3.1 grid's loop at a
 fig3.1 size, the fig3.2 grid's delayed loop} plus the butterfly barriers
 (Example 4), so both fabrics, both wait modes, prologues and the posted
-write path are all pinned.
+write path are all pinned.  Crash-recovery cases (every scheme x
+{crash-task, crashy} on the fig2.1 and fig3.1 loops) pin the checkpoint
+payloads and the replay streams the same way; each must also validate
+and must actually reincarnate a crashed task.
 
 Regenerate (only when a change is *meant* to alter results)::
 
@@ -30,9 +33,12 @@ from typing import Any, Dict, Tuple
 
 import pytest
 
+from repro.faults import make_plan
+from repro.faults.chaos import FAULT_MAX_CYCLES, FAULT_STAGNATION_LIMIT
 from repro.lab.apps import build_app
 from repro.barriers import (BrooksButterflyBarrier, PCButterflyBarrier,
                             PhasedWorkload)
+from repro.recovery import RecoveryPolicy
 from repro.schemes import RunConfig, make_scheme, scheme_names
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.metrics import RunResult
@@ -46,6 +52,10 @@ LOOPS: Dict[str, Tuple[str, Dict[str, Any], int, str]] = {
     "fig3.2": ("fig2.1-delay",
                {"n": 48, "slow_iteration": 16, "slow_cost": 400}, 8, "self"),
 }
+
+#: crash-recovery cases: loop stems x fault plans, seed 0
+RECOVERY_LOOPS = ("fig2.1", "fig3.1")
+RECOVERY_PLANS = ("crash-task", "crashy")
 
 BARRIERS = {
     "butterfly-brooks": BrooksButterflyBarrier,
@@ -96,6 +106,25 @@ def _run_loop_case(scheme_name: str, stem: str) -> RunResult:
         loop, config=RunConfig(machine=machine, validate=False))
 
 
+def _run_recovery_case(scheme_name: str, stem: str,
+                       plan: str) -> RunResult:
+    """A crash-recovery run: checkpoints on, crashed tasks replayed."""
+    app, params, processors, schedule = LOOPS[stem]
+    instrumented = make_scheme(scheme_name).instrument(
+        build_app(app, dict(params)))
+    instrumented.bound_waits(100_000)
+    machine = Machine(MachineConfig(
+        processors=processors, schedule=schedule, record_trace=True,
+        fault_plan=make_plan(plan, seed=0), max_cycles=FAULT_MAX_CYCLES,
+        stagnation_limit=FAULT_STAGNATION_LIMIT,
+        recovery=RecoveryPolicy()))
+    result = machine.run(instrumented)
+    instrumented.validate(result)
+    # the pin covers replay only if a crashed task was reincarnated
+    assert result.extra["recovery"]["reincarnations"] > 0
+    return result
+
+
 def _run_barrier_case(name: str) -> RunResult:
     barrier = BARRIERS[name](8)
     workload = PhasedWorkload(
@@ -111,6 +140,12 @@ def _all_cases():
         for scheme_name in scheme_names():
             yield f"{stem}/{scheme_name}", (
                 lambda s=scheme_name, t=stem: _run_loop_case(s, t))
+    for stem in RECOVERY_LOOPS:
+        for plan in RECOVERY_PLANS:
+            for scheme_name in scheme_names():
+                yield f"recover/{stem}/{plan}/{scheme_name}", (
+                    lambda s=scheme_name, t=stem, p=plan:
+                    _run_recovery_case(s, t, p))
     for name in BARRIERS:
         yield name, (lambda n=name: _run_barrier_case(n))
 
