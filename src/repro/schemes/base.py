@@ -85,8 +85,9 @@ class CompiledStatement:
     def stream(self) -> Generator:
         """Run the instance: tag, read, compute, write (see module doc).
 
-        The schemes' fast bodies inline this exact sequence to avoid the
-        ``yield from`` frame hop; keep them in sync when changing it.
+        The statement- and process-oriented bodies inline this exact
+        sequence to avoid the ``yield from`` frame hop; keep them in
+        sync when changing it.
         """
         yield self.tag_op
         values: List[Any] = []
@@ -178,8 +179,10 @@ class InstrumentedLoop(ABC):
 
     #: when True, signal ops carry checkpoint payloads so the recovery
     #: layer can journal per-iteration sync progress at dispatch time.
-    #: Off by default: clean runs emit no checkpoints at all, keeping
-    #: the no-fault event stream byte-identical (zero-overhead pin).
+    #: The one body walker per scheme then yields a copy of each
+    #: compiled signal op with its payload attached.  Off by default:
+    #: clean runs yield the compiled ops unchanged, keeping the
+    #: no-fault event stream byte-identical (zero-overhead pin).
     checkpoints_enabled: bool = False
 
     def __init__(self, loop: Loop, graph: DependenceGraph) -> None:
@@ -208,10 +211,11 @@ class InstrumentedLoop(ABC):
     def recompile(self) -> None:
         """Rebuild precompiled op streams from the loop's current state.
 
-        Schemes compile their clean-run op streams once at instrument
-        time, so mutating scheme state afterwards (sabotage tests,
-        ablations that rewrite the sync plan or the arcs) has no effect
-        until this is called.  Default: nothing precompiled.
+        Schemes compile their op streams once at instrument time, and
+        clean runs and crash replay both walk them, so mutating scheme
+        state afterwards (sabotage tests, ablations that rewrite the
+        sync plan or the arcs) has no effect on either until this is
+        called.  Default: nothing precompiled.
         """
 
     def enable_checkpoints(self) -> None:

@@ -19,8 +19,8 @@ The price, which this model charges explicitly:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
@@ -140,7 +140,7 @@ class InstanceBasedLoop(InstrumentedLoop):
                                   if i.writer is None]
         #: bits are allocated in instance order on a fresh fabric, so
         #: their variable ids are known at instrument time (asserted in
-        #: build_fabric); the clean-run op stream compiles here once.
+        #: build_fabric); the op stream compiles here once.
         cursor = 0
         for instance in self.instances:
             n_bits = len(instance.copies)
@@ -155,13 +155,11 @@ class InstanceBasedLoop(InstrumentedLoop):
                           for pid in self.iterations}
 
     def _compile(self, pid: int) -> list:
-        """Compile ``pid``'s clean-run op stream (no checkpoints).
+        """Compile ``pid``'s op stream, walked by :meth:`_body`.
 
         One entry per executed statement: ``(tag_op, reads, compute_op,
         sid, writes)`` where ``reads`` holds ``(wait, read, consume)``
-        triples and ``writes`` holds ``(copy_addrs, bit_ops)`` pairs --
-        exactly the stream :meth:`_body` emits with no replay skip and
-        checkpoints off.
+        triples and ``writes`` holds ``(copy_addrs, bit_ops)`` pairs.
         """
         index = self.loop.index_of_lpid(pid)
         program = []
@@ -191,27 +189,6 @@ class InstanceBasedLoop(InstrumentedLoop):
                             stmt.sid,
                             tuple(writes)))
         return program
-
-    def _fast_body(self, pid: int) -> Generator:
-        """Replay the precompiled stream (clean runs, no checkpoints)."""
-        for tag_op, reads, compute_op, sid, writes in self._programs[pid]:
-            yield tag_op
-            values: List[Any] = []
-            for wait_op, read_op, consume_op in reads:
-                yield wait_op
-                value = yield read_op
-                values.append(value)
-                if consume_op is not None:
-                    yield consume_op
-            yield compute_op
-            result = mix(sid, pid, values)
-            for copy_addrs, bit_ops in writes:
-                for addr in copy_addrs:
-                    yield MemWrite(addr, result)
-                yield _FENCE
-                for op in bit_ops:
-                    yield op
-            yield _CLEAR_TAG
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         fabric = MemorySyncFabric(memory, poll_interval=self.poll_interval,
@@ -273,9 +250,7 @@ class InstanceBasedLoop(InstrumentedLoop):
         return sum(len(instance.copies) for instance in self.instances)
 
     def make_process(self, pid: int) -> Generator:
-        if self.checkpoints_enabled:
-            return self._body(pid)
-        return self._fast_body(pid)
+        return self._body(pid)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -292,67 +267,49 @@ class InstanceBasedLoop(InstrumentedLoop):
             return self._body(iteration)
         return self._body(iteration, skip_stmt=checkpoint["stmt"],
                           skip_acc=checkpoint["acc"],
-                          journaled=list(checkpoint["values"]))
-
-    def _ckpt(self, pid: int, stmt_pos: int, acc: int,
-              values: List[Any]) -> Optional[dict]:
-        if not self.checkpoints_enabled:
-            return None
-        return {"iter": pid, "stmt": stmt_pos, "acc": acc,
-                "values": list(values)}
+                          journaled=checkpoint["values"])
 
     def _body(self, pid: int, skip_stmt: int = 0, skip_acc: int = 0,
-              journaled: Optional[List[Any]] = None) -> Generator:
-        index = self.loop.index_of_lpid(pid)
-        executed = [stmt for stmt in self.loop.body
-                    if stmt.executes_at(index)]
-        for stmt_pos, stmt in enumerate(executed):
+              journaled: Sequence[Any] = ()) -> Generator:
+        """Walk ``pid``'s compiled program from statement ``skip_stmt``,
+        whose first ``skip_acc`` reads already consumed their bits; with
+        checkpoints on, every consume and each statement's last publish
+        journal that progress."""
+        checkpoints = self.checkpoints_enabled
+        for stmt_pos, (tag_op, reads, compute_op, sid,
+                       writes) in enumerate(self._programs[pid]):
             if stmt_pos < skip_stmt:
                 continue
             acc_done = skip_acc if stmt_pos == skip_stmt else 0
-            seen = (journaled or []) if stmt_pos == skip_stmt else []
-            tag = (stmt.sid, pid)
-            yield Annotate("tag", {"tag": tag})
-            values: List[Any] = []
-            for read_pos, binding in enumerate(self.reads_of[tag]):
-                if read_pos < acc_done:
-                    # This read's consuming SyncWrite already landed:
-                    # the bit is empty, so reuse the journalled value.
-                    values.append(seen[read_pos])
-                    continue
-                instance = self.instances[binding.instance_id]
-                bit = instance.bits[binding.copy_index]
-                copy_addr = instance.copies[binding.copy_index]
-                yield WaitUntil(bit, _full,
-                                reason=f"full {instance.base_addr}"
-                                       f"v{instance.version}")
-                value = yield MemRead(copy_addr)
+            yield tag_op
+            # Reads whose consuming SyncWrite already landed find the
+            # bit empty, so they reuse the journalled value.
+            values: List[Any] = list(journaled[:acc_done])
+            for read_pos, (wait_op, read_op, consume_op) in enumerate(
+                    reads[acc_done:], acc_done):
+                yield wait_op
+                value = yield read_op
                 values.append(value)
-                if self.consume:
+                if consume_op is not None:
                     # HEP read empties the bit (non-idempotent signal)
-                    yield SyncWrite(bit, 0,
-                                    checkpoint=self._ckpt(
-                                        pid, stmt_pos, read_pos + 1,
-                                        values))
-            yield Compute(stmt.cost_at(index))
-            result = mix(stmt.sid, pid, values)
-            write_ids = self.writes_of[tag]
-            total_bits = sum(len(self.instances[i].bits)
-                             for i in write_ids)
-            filled = 0
-            for instance_id in write_ids:
-                instance = self.instances[instance_id]
-                for copy_addr in instance.copies:
-                    yield MemWrite(copy_addr, result)
-                yield Fence()  # copies visible before bits flip
-                for bit in instance.bits:
-                    filled += 1
-                    # the statement's last publish advances the journal
-                    # to the next statement boundary
-                    boundary = (self._ckpt(pid, stmt_pos + 1, 0, [])
-                                if filled == total_bits else None)
-                    yield SyncWrite(bit, 1, checkpoint=boundary)
-            yield Annotate("tag", {"tag": None})
+                    yield (replace(consume_op, checkpoint={
+                        "iter": pid, "stmt": stmt_pos, "acc": read_pos + 1,
+                        "values": list(values)})
+                        if checkpoints else consume_op)
+            yield compute_op
+            result = mix(sid, pid, values)
+            # the statement's last publish advances the journal to the
+            # next statement boundary
+            boundary = writes[-1][1][-1] if checkpoints and writes else None
+            for copy_addrs, bit_ops in writes:
+                for addr in copy_addrs:
+                    yield MemWrite(addr, result)
+                yield _FENCE  # copies visible before bits flip
+                for op in bit_ops:
+                    yield (op if op is not boundary else replace(
+                        op, checkpoint={"iter": pid, "stmt": stmt_pos + 1,
+                                        "acc": 0, "values": []}))
+            yield _CLEAR_TAG
 
 
 def _full(value: int) -> bool:

@@ -24,8 +24,8 @@ Costs the paper attributes to this class, all modelled here:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
@@ -106,7 +106,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
              for access in accesses})
         #: keys are allocated in ``elements`` order on a fresh fabric,
         #: so their variable ids are known at instrument time (asserted
-        #: in build_fabric); the clean-run op stream compiles here once.
+        #: in build_fabric); the op stream compiles here once.
         self._key_of: Dict[Address, int] = {
             addr: key for key, addr in enumerate(self.elements)}
         self._programs: Dict[int, list] = {}
@@ -118,12 +118,11 @@ class ReferenceBasedLoop(InstrumentedLoop):
                           for pid in self.iterations}
 
     def _compile(self, pid: int) -> list:
-        """Compile ``pid``'s clean-run op stream (no checkpoints).
+        """Compile ``pid``'s op stream, walked by :meth:`_body`.
 
         One entry per executed statement: ``(tag_op, reads, compute_op,
         sid, writes)`` with per-access ``(wait, read, update)`` /
-        ``(wait, addr, update)`` triples -- exactly what :meth:`_body`
-        emits with no replay skip and checkpoints off.
+        ``(wait, addr, update)`` triples.
         """
         index = self.loop.index_of_lpid(pid)
         program = []
@@ -150,25 +149,6 @@ class ReferenceBasedLoop(InstrumentedLoop):
                             tuple(writes)))
         return program
 
-    def _fast_body(self, pid: int) -> Generator:
-        """Replay the precompiled stream (clean runs, no checkpoints)."""
-        for tag_op, reads, compute_op, sid, writes in self._programs[pid]:
-            yield tag_op
-            values: List[Any] = []
-            for wait_op, read_op, update_op in reads:
-                yield wait_op
-                value = yield read_op
-                values.append(value)
-                yield update_op
-            yield compute_op
-            result = mix(sid, pid, values)
-            for wait_op, addr, update_op in writes:
-                yield wait_op
-                yield MemWrite(addr, result)
-                yield _FENCE
-                yield update_op
-            yield _CLEAR_TAG
-
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         fabric = MemorySyncFabric(memory, poll_interval=self.poll_interval)
         for addr in self.elements:
@@ -194,9 +174,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
         return len(self.elements)
 
     def make_process(self, pid: int) -> Generator:
-        if self.checkpoints_enabled:
-            return self._body(pid)
-        return self._fast_body(pid)
+        return self._body(pid)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -212,63 +190,49 @@ class ReferenceBasedLoop(InstrumentedLoop):
             return self._body(iteration)
         return self._body(iteration, skip_stmt=checkpoint["stmt"],
                           skip_acc=checkpoint["acc"],
-                          journaled=list(checkpoint["values"]))
-
-    def _ckpt(self, pid: int, stmt_pos: int, acc: int,
-              values: List[Any]) -> Optional[dict]:
-        if not self.checkpoints_enabled:
-            return None
-        return {"iter": pid, "stmt": stmt_pos, "acc": acc,
-                "values": list(values)}
+                          journaled=checkpoint["values"])
 
     def _body(self, pid: int, skip_stmt: int = 0, skip_acc: int = 0,
-              journaled: Optional[List[Any]] = None) -> Generator:
-        index = self.loop.index_of_lpid(pid)
-        executed = [stmt for stmt in self.loop.body
-                    if stmt.executes_at(index)]
-        for stmt_pos, stmt in enumerate(executed):
+              journaled: Sequence[Any] = ()) -> Generator:
+        """Walk ``pid``'s compiled program from statement ``skip_stmt``,
+        whose first ``skip_acc`` accesses already signalled; with
+        checkpoints on, every key increment journals that progress."""
+        checkpoints = self.checkpoints_enabled
+        for stmt_pos, (tag_op, reads, compute_op, sid,
+                       writes) in enumerate(self._programs[pid]):
             if stmt_pos < skip_stmt:
                 continue
             acc_done = skip_acc if stmt_pos == skip_stmt else 0
-            seen = (journaled or []) if stmt_pos == skip_stmt else []
-            accesses = self.plan[(stmt.sid, pid)]
-            reads = [a for a in accesses if a.kind == "R"]
-            writes = [a for a in accesses if a.kind == "W"]
-            if acc_done >= len(accesses) and accesses:
+            accesses = len(reads) + len(writes)
+            if accesses and acc_done >= accesses:
                 continue  # statement fully signalled before the crash
-            yield Annotate("tag", {"tag": (stmt.sid, pid)})
-            values: List[Any] = []
-            for position, access in enumerate(reads):
-                if position < acc_done:
-                    # Increment already landed: reuse the journalled
-                    # value instead of re-reading + re-incrementing.
-                    values.append(seen[position])
-                    continue
-                key = self._key_of[access.addr]
-                yield WaitUntil(key, _at_least(access.threshold),
-                                reason=f"key {access.addr} >= "
-                                       f"{access.threshold}")
-                value = yield MemRead(access.addr)
+            yield tag_op
+            # Reads whose increments already landed reuse the journalled
+            # value instead of re-reading + re-incrementing.
+            values: List[Any] = list(journaled[:acc_done])
+            for position, (wait_op, read_op, update_op) in enumerate(
+                    reads[acc_done:], acc_done):
+                yield wait_op
+                value = yield read_op
                 values.append(value)
-                yield SyncUpdate(key, _increment,
-                                 checkpoint=self._ckpt(
-                                     pid, stmt_pos, position + 1, values))
-            yield Compute(stmt.cost_at(index))
-            result = mix(stmt.sid, pid, values)
-            for write_pos, access in enumerate(writes):
-                position = len(reads) + write_pos
-                if position < acc_done:
-                    continue  # write + increment already landed
-                key = self._key_of[access.addr]
-                yield WaitUntil(key, _at_least(access.threshold),
-                                reason=f"key {access.addr} >= "
-                                       f"{access.threshold}")
-                yield MemWrite(access.addr, result)
-                yield Fence()  # visible before the key admits successors
-                yield SyncUpdate(key, _increment,
-                                 checkpoint=self._ckpt(
-                                     pid, stmt_pos, position + 1, values))
-            yield Annotate("tag", {"tag": None})
+                yield (replace(update_op, checkpoint={
+                    "iter": pid, "stmt": stmt_pos, "acc": position + 1,
+                    "values": list(values)})
+                    if checkpoints else update_op)
+            yield compute_op
+            result = mix(sid, pid, values)
+            # writes before acc_done: write + increment already landed
+            first_write = max(acc_done - len(reads), 0)
+            for position, (wait_op, addr, update_op) in enumerate(
+                    writes[first_write:], len(reads) + first_write):
+                yield wait_op
+                yield MemWrite(addr, result)
+                yield _FENCE  # visible before the key admits successors
+                yield (replace(update_op, checkpoint={
+                    "iter": pid, "stmt": stmt_pos, "acc": position + 1,
+                    "values": list(values)})
+                    if checkpoints else update_op)
+            yield _CLEAR_TAG
 
 
 def _at_least(threshold: int):

@@ -22,6 +22,7 @@ Advance implies all earlier iterations are done).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Generator, List, Optional
 
 from ..depend.graph import DependenceGraph, SyncArc
@@ -31,7 +32,7 @@ from ..sim.ops import Fence, MemWrite, SyncWrite, WaitUntil
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, InstrumentedLoop, SyncScheme,
-                   compile_statement, execute_statement)
+                   compile_statement)
 
 
 def at_least(threshold: int):
@@ -64,8 +65,8 @@ class StatementOrientedLoop(InstrumentedLoop):
             if any(arc.src == stmt.sid for arc in arcs)]
         #: statement counters are allocated first on a fresh fabric, so
         #: their variable ids are known at instrument time (asserted in
-        #: build_fabric); that lets the whole clean-run op stream be
-        #: compiled here, once, instead of per run.
+        #: build_fabric); that lets the whole op stream be compiled
+        #: here, once, instead of per run.
         self._sc_vars: Dict[str, int] = {
             sid: var for var, sid in enumerate(self.source_sids)}
         self._first_pid = 1
@@ -101,30 +102,14 @@ class StatementOrientedLoop(InstrumentedLoop):
 
     # ------------------------------------------------------------------
 
-    def _advance(self, sid: str, pid: int,
-                 checkpoint: Optional[dict] = None) -> Generator:
-        """wait until SC[sid] = pid-1; set SC[sid] to pid."""
-        var = self._sc_vars[sid]
-        yield WaitUntil(var, at_least(pid - 1),
-                        reason=f"Advance({sid}) by p{pid}")
-        yield SyncWrite(var, pid, coverable=False, checkpoint=checkpoint)
-
-    def _await(self, sid: str, dist: int, pid: int) -> Generator:
-        """wait until SC[sid] >= pid - dist (skip past loop boundary)."""
-        if pid - dist < self._first_pid:
-            return
-        yield WaitUntil(self._sc_vars[sid], at_least(pid - dist),
-                        reason=f"Await({dist},{sid}) by p{pid}")
-
     def _compile(self, pid: int) -> list:
-        """Compile ``pid``'s clean-run op stream (see ``_sc_vars`` note).
+        """Compile ``pid``'s op stream (see ``_sc_vars`` note).
 
         One entry per body statement: ``(awaits, compiled, advance)``
         where ``awaits`` is the tuple of Await ops, ``compiled`` the
         statement instance's compiled stream (None when the guard skips
         it) and ``advance`` the ``(wait, write)`` Advance pair (None for
-        non-sources).  Exactly the stream :meth:`_body` emits with no
-        replay skip and checkpoints off.
+        non-sources).  :meth:`_body` walks it.
         """
         index = self.loop.index_of_lpid(pid)
         program = []
@@ -149,35 +134,8 @@ class StatementOrientedLoop(InstrumentedLoop):
             program.append((awaits, compiled, advance))
         return program
 
-    def _fast_body(self, pid: int) -> Generator:
-        """Replay the precompiled stream (clean runs, no checkpoints).
-
-        The statement body inlines ``CompiledStatement.stream`` (same op
-        sequence) to spare the ``yield from`` frame hop per op.
-        """
-        for awaits, compiled, advance in self._programs[pid]:
-            for op in awaits:
-                yield op
-            if compiled is not None:
-                yield compiled.tag_op
-                values: List[Any] = []
-                for read_op in compiled.read_ops:
-                    value = yield read_op
-                    values.append(value)
-                yield compiled.compute_op
-                result = mix(compiled.sid, compiled.lpid, values)
-                for addr in compiled.write_addrs:
-                    yield MemWrite(addr, result)
-                yield _CLEAR_TAG
-            if advance is not None:
-                yield _FENCE
-                yield advance[0]
-                yield advance[1]
-
     def make_process(self, pid: int) -> Generator:
-        if self.checkpoints_enabled:
-            return self._body(pid)
-        return self._fast_body(pid)
+        return self._body(pid)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -193,35 +151,49 @@ class StatementOrientedLoop(InstrumentedLoop):
         skip = 0 if checkpoint is None else checkpoint["stmt"]
         return self._body(iteration, skip_stmt=skip)
 
-    def _ckpt(self, pid: int, stmt_pos: int) -> Optional[dict]:
-        if not self.checkpoints_enabled:
-            return None
-        return {"iter": pid, "stmt": stmt_pos}
-
     def _body(self, pid: int, skip_stmt: int = 0) -> Generator:
-        index = self.loop.index_of_lpid(pid)
-        for stmt_pos, stmt in enumerate(self.loop.body):
+        """Walk ``pid``'s compiled program from body position
+        ``skip_stmt``; with checkpoints on, every Advance journals the
+        next position.
+
+        The statement body inlines ``CompiledStatement.stream`` (same op
+        sequence) to spare the ``yield from`` frame hop per op.
+        """
+        checkpoints = self.checkpoints_enabled
+        for stmt_pos, (awaits, compiled,
+                       advance) in enumerate(self._programs[pid]):
             if stmt_pos < skip_stmt:
                 continue  # Advance already landed for this position
             # sink first: Await every incoming arc
-            for arc in self.arcs:
-                if arc.dst == stmt.sid:
-                    yield from self._await(arc.src, arc.distance, pid)
-            executed = stmt.executes_at(index)
-            if executed:
-                yield from execute_statement(self.loop, stmt, index, pid)
-            if stmt.sid in self._sc_vars:
+            for op in awaits:
+                yield op
+            if compiled is not None:
+                yield compiled.tag_op
+                values: List[Any] = []
+                for read_op in compiled.read_ops:
+                    value = yield read_op
+                    values.append(value)
+                yield compiled.compute_op
+                result = mix(compiled.sid, compiled.lpid, values)
+                for addr in compiled.write_addrs:
+                    yield MemWrite(addr, result)
+                yield _CLEAR_TAG
+            if advance is not None:
                 # Fence even when the guard skipped the statement: arc
                 # pruning treats Advance as proof that everything
                 # program-order-before it in this process is complete
                 # AND visible, so earlier statements' posted writes must
                 # drain before the counter moves.  (A fence with no
                 # outstanding writes is free.)
-                yield Fence()
+                yield _FENCE
                 # Advance runs on every path (Example 3's rule), or sinks
-                # of skipped sources would deadlock the Advance chain.
-                yield from self._advance(stmt.sid, pid,
-                                         self._ckpt(pid, stmt_pos + 1))
+                # of skipped sources would deadlock the Advance chain:
+                # wait until SC[sid] = pid-1, then set it to pid.
+                wait_op, write_op = advance
+                yield wait_op
+                yield (replace(write_op, checkpoint={
+                    "iter": pid, "stmt": stmt_pos + 1})
+                    if checkpoints else write_op)
 
 
 class StatementOrientedScheme(SyncScheme):
