@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .analysis import Dependence, analyze
 from .model import Loop
 from ..sim.validate import DependenceInstance
@@ -77,11 +75,6 @@ class DependenceGraph:
         self.loop = loop
         self.dependences: List[Dependence] = (
             list(dependences) if dependences is not None else analyze(loop))
-        self.graph = nx.MultiDiGraph()
-        for stmt in loop.body:
-            self.graph.add_node(stmt.sid)
-        for dep in self.dependences:
-            self.graph.add_edge(dep.src, dep.dst, dep=dep)
 
     # ------------------------------------------------------------------
     # classification helpers

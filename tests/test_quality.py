@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +82,16 @@ def test_activity_segments_match_stats():
 
 def test_package_version():
     assert repro.__version__
+
+
+def test_cli_imports_no_third_party_packages():
+    """The package is stdlib-only: loading the CLI pulls in neither
+    networkx nor numpy (checked in a fresh interpreter, since this
+    test process may have imported them for other reasons)."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, repro.__main__; "
+             "print(sorted({'networkx', 'numpy'} & set(sys.modules)))")
+    completed = subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True, check=True)
+    assert completed.stdout.strip() == "[]"
