@@ -309,7 +309,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
                              "the audit trail and the farthest-first "
                              "baseline, and validates the winner by "
                              "byte-identical replay")
-    parser.add_argument("--window", type=int, default=None,
+    parser.add_argument("--window", type=positive(), default=None,
                         help="override the unrolled iteration window")
     parser.add_argument("--processors", type=positive(), default=8,
                         help="machine size for the dynamic cross-check "
@@ -944,16 +944,24 @@ def main(argv=None) -> int:
         bindings.setdefault("N", 64)
         name = "fig2.1-demo"
     elif args.source is not None:
-        source = args.source.read_text()
+        try:
+            source = args.source.read_text()
+        except OSError as err:
+            parser.error(f"cannot read {args.source}: {err.strerror}")
         name = args.source.stem
     else:
         print("need a source file or --demo", file=sys.stderr)
         return 2
 
+    try:  # a ParseError, or a binding that empties a loop's bounds
+        parsed = (parse_program(source, **bindings) if args.program
+                  else parse_loop(source, name=name, **bindings))
+    except ValueError as err:
+        parser.error(f"bad loop {name!r}: {err}")
     if args.program:
-        return _run_program_mode(source, bindings, args)
+        return _run_program_mode(parsed, args)
 
-    loop = parse_loop(source, name=name, **bindings)
+    loop = parsed
     decision = compile_loop(loop, processors=args.processors,
                             objective=args.objective,
                             force_scheme=args.scheme)
@@ -988,11 +996,10 @@ def main(argv=None) -> int:
     return 0
 
 
-def _run_program_mode(source: str, bindings, args) -> int:
+def _run_program_mode(loops, args) -> int:
     """Compile and run a multi-loop program, printing per-loop rows."""
     from .report import print_table
 
-    loops = parse_program(source, **bindings)
     program = run_program(loops, processors=args.processors,
                           objective=args.objective,
                           force_scheme=args.scheme,

@@ -69,7 +69,7 @@ def add_common_options(parser: argparse.ArgumentParser, *,
         help="base seed for seeded components (fault plans, sweep "
              "seed grids)")
     parser.add_argument(
-        "--procs", type=int, default=procs_default, metavar="N",
+        "--procs", type=positive(), default=procs_default, metavar="N",
         help="parallel worker processes for fanned-out runs "
              f"(default {procs_default}; results are identical at "
              "any value)")
