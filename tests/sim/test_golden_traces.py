@@ -97,13 +97,21 @@ def fingerprint(result: RunResult) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _run_loop_case(scheme_name: str, stem: str) -> RunResult:
+def _run_loop_case(scheme_name: str, stem: str,
+                   stagnation_limit=None) -> RunResult:
+    return _run_loop_machine(scheme_name, stem, stagnation_limit)[0]
+
+
+def _run_loop_machine(scheme_name: str, stem: str,
+                      stagnation_limit=None) -> Tuple[RunResult, Machine]:
     app, params, processors, schedule = LOOPS[stem]
     loop = build_app(app, dict(params))
     machine = Machine(MachineConfig(processors=processors,
-                                    schedule=schedule, record_trace=True))
-    return make_scheme(scheme_name).run(
+                                    schedule=schedule, record_trace=True,
+                                    stagnation_limit=stagnation_limit))
+    result = make_scheme(scheme_name).run(
         loop, config=RunConfig(machine=machine, validate=False))
+    return result, machine
 
 
 def _run_recovery_case(scheme_name: str, stem: str,
@@ -176,6 +184,21 @@ def test_run_result_bytes_match_golden(case_id: str,
     assert fingerprint(CASES[case_id]()) == golden[case_id], (
         f"{case_id}: RunResult bytes diverged from the golden trace -- "
         "the engine rewrite changed observable behavior")
+
+
+@pytest.mark.parametrize("stem", sorted(LOOPS))
+@pytest.mark.parametrize("scheme_name", scheme_names())
+def test_armed_watchdog_matches_golden(scheme_name: str, stem: str,
+                                       golden: Dict[str, str]) -> None:
+    """Arming the stagnation watchdog only adds a check per event: a
+    healthy run keeps the unarmed golden bytes and processes exactly the
+    same number of events."""
+    armed, armed_machine = _run_loop_machine(
+        scheme_name, stem, stagnation_limit=FAULT_STAGNATION_LIMIT)
+    assert fingerprint(armed) == golden[f"{stem}/{scheme_name}"]
+    _, plain_machine = _run_loop_machine(scheme_name, stem)
+    assert (armed_machine.last_run_info["events_processed"]
+            == plain_machine.last_run_info["events_processed"])
 
 
 def test_replay_is_deterministic() -> None:
