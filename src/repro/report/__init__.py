@@ -1,10 +1,7 @@
 """Reporting helpers for the benchmark harness."""
 
-from .export import (FORMAT_VERSION, compare_results, load_results,
-                     save_results)
 from .tables import format_table, print_table, summarize_runs
 from .timeline import render_timeline, utilization_profile
 
-__all__ = ["FORMAT_VERSION", "compare_results", "format_table",
-           "load_results", "print_table", "render_timeline",
-           "save_results", "summarize_runs", "utilization_profile"]
+__all__ = ["format_table", "print_table", "render_timeline",
+           "summarize_runs", "utilization_profile"]

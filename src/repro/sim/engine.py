@@ -184,68 +184,35 @@ class _Timeout:
 
 
 class _ReadDone:
-    """Completion of a shared-memory read (executed inline by the fast
-    drain loop: deliver the value, record the access, queue the next
-    step).
+    """Completion of a shared-memory read (executed inline by the drain
+    loop: deliver the value, record the access, queue the next step).
 
-    A plain closure would re-capture the same five values per read; a
-    slotted record is cheaper to build and the fast drain loop runs it
-    without a Python-level call.  :meth:`run` is the out-of-line
-    equivalent for the tracked drain.
+    A plain closure would re-capture the same values per read; a
+    slotted record is cheaper to build and the drain loop runs it
+    without a Python-level call.
     """
 
-    __slots__ = ("engine", "task", "addr", "tag", "seq")
+    __slots__ = ("task", "addr", "tag", "seq")
 
-    def __init__(self, engine: "Engine", task: "_Task", addr, tag,
-                 seq: int) -> None:
-        self.engine = engine
+    def __init__(self, task: "_Task", addr, tag, seq: int) -> None:
         self.task = task
         self.addr = addr
         self.tag = tag
         self.seq = seq
 
-    def run(self) -> None:
-        engine = self.engine
-        task = self.task
-        value = engine.memory.read(self.addr)
-        if engine.record_trace:
-            engine.trace.append(AccessRecord(
-                commit=engine.now, kind="R", addr=self.addr, value=value,
-                task=task.stats.name, tag=self.tag, seq=self.seq))
-        task.pending_value = value
-        engine._open_resumes.append(task)
-
 
 class _WriteCommit:
     """Global visibility of a posted shared-memory write (commit phase,
-    executed inline by the fast drain loop; :meth:`run` for the tracked
-    one)."""
+    executed inline by the drain loop)."""
 
-    __slots__ = ("engine", "task", "addr", "value", "tag", "seq")
+    __slots__ = ("task", "addr", "value", "tag", "seq")
 
-    def __init__(self, engine: "Engine", task: "_Task", addr, value, tag,
-                 seq: int) -> None:
-        self.engine = engine
+    def __init__(self, task: "_Task", addr, value, tag, seq: int) -> None:
         self.task = task
         self.addr = addr
         self.value = value
         self.tag = tag
         self.seq = seq
-
-    def run(self) -> None:
-        engine = self.engine
-        task = self.task
-        addr = self.addr
-        engine.memory.write(addr, self.value)
-        entry = task.store_buffer.get(addr)
-        if entry is not None:
-            entry[0] -= 1
-            if entry[0] == 0:
-                del task.store_buffer[addr]
-        if engine.record_trace:
-            engine.trace.append(AccessRecord(
-                commit=engine.now, kind="W", addr=addr, value=self.value,
-                task=task.stats.name, tag=self.tag, seq=self.seq))
 
 
 class _SyncReadDone:
@@ -388,6 +355,8 @@ class Engine:
                  stagnation_limit: Optional[int] = None,
                  collect_events: bool = True,
                  sync_tap: bool = False) -> None:
+        if stagnation_limit is not None and stagnation_limit < 1:
+            raise ValueError("stagnation_limit must be >= 1 (or None)")
         self.memory = memory
         self.fabric = fabric
         fabric.attach(self)
@@ -581,10 +550,7 @@ class Engine:
         ``stagnation_limit`` consecutive events fire without any process
         stepping (poll-mode livelock).
         """
-        if self.stagnation_limit is not None:
-            self._drain_tracked()
-        else:
-            self._drain_fast()
+        self._drain()
         if self._live_tasks > 0:
             raise DeadlockError(
                 f"{self._live_tasks} task(s) never completed and no "
@@ -600,8 +566,8 @@ class Engine:
                 report=self._diagnose())
         return self.now
 
-    def _drain_fast(self) -> None:
-        """The hot drain loop (no stagnation watchdog configured).
+    def _drain(self) -> None:
+        """The event loop.
 
         Per-bucket: advance ``self.now`` once (unless the bucket holds
         nothing but cancelled timeouts -- only :class:`_Timeout` entries
@@ -610,11 +576,18 @@ class Engine:
         list before every resume so commits scheduled *at* the open
         cycle still precede every later same-cycle resume.  Memory
         read-completion and write-commit records execute inline.
+
+        With ``stagnation_limit`` set, the watchdog check runs before
+        every live event (for a bucket's first one, before ``self.now``
+        advances) and ``_idle_events`` counts live events until a
+        process step resets it.  Unset, the watchdog costs one
+        ``is not None`` test per event.
         """
         buckets = self._buckets
         times = self._times
         heappop = heapq.heappop
         max_cycles = self.max_cycles
+        limit = self.stagnation_limit
         step = self._step
         memory = self.memory
         record = self.record_trace
@@ -635,6 +608,8 @@ class Engine:
                 raise SimulationLimitError(
                     f"simulation exceeded {max_cycles} cycles",
                     report=self._diagnose())
+            if limit is not None:
+                self._check_stagnation(limit)
             self.now = time
             self._open_time = time
             self._open_commits = commits
@@ -645,6 +620,9 @@ class Engine:
                     if ci < len(commits):
                         e = commits[ci]
                         ci += 1
+                        if limit is not None:
+                            self._check_stagnation(limit)
+                            self._idle_events += 1
                         if e.__class__ is _WriteCommit:
                             task = e.task
                             addr = e.addr
@@ -668,8 +646,19 @@ class Engine:
                     ri += 1
                     cls = e.__class__
                     if cls is _Task:
+                        if limit is not None:
+                            self._check_stagnation(limit)
+                            self._idle_events += 1
                         step(e)
                         continue
+                    if cls is _Timeout:
+                        if e.cancelled:
+                            skipped += 1
+                            continue
+                        e = e.fn
+                    if limit is not None:
+                        self._check_stagnation(limit)
+                        self._idle_events += 1
                     if cls is _ReadDone:
                         task = e.task
                         value = memory.read(e.addr)
@@ -681,97 +670,14 @@ class Engine:
                         task.pending_value = value
                         resumes.append(task)
                         continue
-                    if cls is _Timeout:
-                        if e.cancelled:
-                            skipped += 1
-                            continue
-                        e.fn()
-                        continue
                     e()
             finally:
                 self.events_processed += ci + ri - skipped
                 self._open_time = -1
                 self._open_commits = self._open_resumes = []
 
-    def _drain_tracked(self) -> None:
-        """Drain with the stagnation watchdog armed.
-
-        Structurally the old single loop: the stagnation check runs
-        before every live event (and before ``self.now`` advances for a
-        bucket's first one), and ``_idle_events`` counts every executed
-        event until a process step resets it.
-        """
-        buckets = self._buckets
-        times = self._times
-        max_cycles = self.max_cycles
-        limit = self.stagnation_limit
-        while times:
-            time = heapq.heappop(times)
-            commits, resumes = buckets.pop(time)
-            self._open_time = time
-            self._open_commits = commits
-            self._open_resumes = resumes
-            # ``advanced`` stays False until the bucket's first live
-            # event: a bucket of nothing but cancelled timeouts must not
-            # move ``self.now`` (satisfied waits would stretch the
-            # makespan out to their deadlines).
-            advanced = False
-            ci = ri = 0
-            try:
-                while True:
-                    if ci < len(commits):
-                        fn = commits[ci]
-                        ci += 1
-                        if fn.__class__ is _WriteCommit:
-                            fn = fn.run
-                    else:
-                        if ri >= len(resumes):
-                            break
-                        fn = resumes[ri]
-                        ri += 1
-                        cls = fn.__class__
-                        if cls is _Task:
-                            if not advanced:
-                                if time > max_cycles:
-                                    raise SimulationLimitError(
-                                        f"simulation exceeded "
-                                        f"{max_cycles} cycles",
-                                        report=self._diagnose())
-                                self._check_stagnation(limit)
-                                self.now = time
-                                advanced = True
-                            else:
-                                self._check_stagnation(limit)
-                            self._idle_events += 1
-                            self.events_processed += 1
-                            self._step(fn)
-                            continue
-                        if cls is _Timeout:
-                            if fn.cancelled:
-                                continue
-                            fn = fn.fn
-                        elif cls is _ReadDone:
-                            fn = fn.run
-                    if not advanced:
-                        if time > max_cycles:
-                            raise SimulationLimitError(
-                                f"simulation exceeded {max_cycles} cycles",
-                                report=self._diagnose())
-                        self._check_stagnation(limit)
-                        self.now = time
-                        advanced = True
-                    else:
-                        self._check_stagnation(limit)
-                    self._idle_events += 1
-                    self.events_processed += 1
-                    fn()
-            finally:
-                self._open_time = -1
-                self._open_commits = self._open_resumes = []
-
-    def _check_stagnation(self, limit: Optional[int]) -> None:
-        if (limit is not None and self._live_tasks > 0
-                and self._idle_events > limit):
+    def _check_stagnation(self, limit: int) -> None:
+        if self._live_tasks > 0 and self._idle_events > limit:
             raise DeadlockError(
                 f"stagnation: {self._idle_events} consecutive events "
                 f"without any process making progress "
@@ -803,8 +709,6 @@ class Engine:
             if task.on_done is not None:
                 task.on_done()
             return
-        # (task.ops is maintained only by _step_fault: the counter feeds
-        # the injector's crash schedule and nothing else.)
         task.pending_value = None
         handler = self._handlers.get(op.__class__)
         if handler is not None:
@@ -813,7 +717,7 @@ class Engine:
             self._dispatch_slow(task, op)
 
     def _step_fault(self, task: _Task) -> None:
-        """As :meth:`_step_clean`, plus the per-step fault probes."""
+        """The per-step fault probes, then :meth:`_step_clean`."""
         if not task.alive:
             return
         if task.stall_resume:
@@ -850,24 +754,10 @@ class Engine:
                 # stalled step finally runs.
                 self._push_resume(self.now + extra, task)
                 return
-        task.wait_state = None
-        self._idle_events = 0
-        try:
-            op = task.gen.send(task.pending_value)
-        except StopIteration:
-            task.alive = False
-            task.stats.done_at = self.now
-            self._live_tasks -= 1
-            if task.on_done is not None:
-                task.on_done()
-            return
-        task.ops += 1
-        task.pending_value = None
-        handler = self._handlers.get(op.__class__)
-        if handler is not None:
-            handler(task, op)
-        else:
-            self._dispatch_slow(task, op)
+        self._step_clean(task)
+        if task.alive:
+            # The step interpreted an op rather than finishing the task.
+            task.ops += 1
 
     def _dispatch_slow(self, task: _Task, op: Any) -> None:
         """Handle an op subclass (cached) or reject an unknown op."""
@@ -1007,7 +897,7 @@ class Engine:
             seq = 0
         if self.tap is not None:
             self.tap.append(("R", addr, task.stats.name))
-        event = _ReadDone(self, task, addr, task.tag, seq)
+        event = _ReadDone(task, addr, task.tag, seq)
         if done == now:
             self._open_resumes.append(event)
             return
@@ -1039,7 +929,7 @@ class Engine:
         else:
             pending[0] += 1
             pending[1] = op.value
-        commit = _WriteCommit(self, task, addr, op.value, task.tag, seq)
+        commit = _WriteCommit(task, addr, op.value, task.tag, seq)
         buckets = self._buckets
         if done == now:
             self._open_commits.append(commit)
