@@ -11,10 +11,14 @@ up as a fingerprint mismatch.
 The grid covers all four schemes x {fig2.1, the fig3.1 grid's loop at a
 fig3.1 size, the fig3.2 grid's delayed loop} plus the butterfly barriers
 (Example 4), so both fabrics, both wait modes, prologues and the posted
-write path are all pinned.  Crash-recovery cases (every scheme x
-{crash-task, crashy} on the fig2.1 and fig3.1 loops) pin the checkpoint
-payloads and the replay streams the same way; each must also validate
-and must actually reincarnate a crashed task.
+write path are all pinned.  The process-oriented scheme runs in both
+primitive styles: the improved default (Fig. 4.3) and, as
+``process-oriented-basic``, the basic one (Fig. 4.2).  Crash-recovery
+cases (every scheme x {crash-task, crashy} on the fig2.1 and fig3.1
+loops) pin the checkpoint payloads and the replay streams the same way;
+each must also validate and must actually reincarnate a crashed task.
+The hand-written workloads of Examples 1, 4 and 5 and the serial loop
+of multi-loop programs are pinned under ``workload/...``.
 
 Regenerate (only when a change is *meant* to alter results)::
 
@@ -33,11 +37,19 @@ from typing import Any, Dict, Tuple
 
 import pytest
 
+from repro.apps.fft import BarrierFFT, PairwiseFFT
+from repro.apps.kernels import fig21_loop
+from repro.apps.pde import BarrierPDE, NeighborPDE
+from repro.apps.relaxation import (PipelinedRelaxation, SerialRelaxation,
+                                   StatementPipelinedRelaxation,
+                                   WavefrontRelaxation)
+from repro.compiler.program import SerialLoopWorkload
 from repro.faults import make_plan
 from repro.faults.chaos import FAULT_MAX_CYCLES, FAULT_STAGNATION_LIMIT
 from repro.lab.apps import build_app
-from repro.barriers import (BrooksButterflyBarrier, PCButterflyBarrier,
-                            PhasedWorkload)
+from repro.barriers import (BrooksButterflyBarrier, CounterBarrier,
+                            DisseminationBarrier, PCButterflyBarrier,
+                            PhasedWorkload, TournamentBarrier)
 from repro.recovery import RecoveryPolicy
 from repro.schemes import RunConfig, make_scheme, scheme_names
 from repro.sim.machine import Machine, MachineConfig
@@ -53,6 +65,13 @@ LOOPS: Dict[str, Tuple[str, Dict[str, Any], int, str]] = {
                {"n": 48, "slow_iteration": 16, "slow_cost": 400}, 8, "self"),
 }
 
+#: scheme case names -> (registry name, factory kwargs): the four
+#: schemes at their defaults plus the basic primitive style
+SCHEMES: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    **{name: (name, {}) for name in scheme_names()},
+    "process-oriented-basic": ("process-oriented", {"style": "basic"}),
+}
+
 #: crash-recovery cases: loop stems x fault plans, seed 0
 RECOVERY_LOOPS = ("fig2.1", "fig3.1")
 RECOVERY_PLANS = ("crash-task", "crashy")
@@ -60,6 +79,37 @@ RECOVERY_PLANS = ("crash-task", "crashy")
 BARRIERS = {
     "butterfly-brooks": BrooksButterflyBarrier,
     "butterfly-pc": PCButterflyBarrier,
+}
+
+
+def _region_cost(region: int, sweep: int) -> int:
+    return (region * 11 + sweep * 5) % 17 + 20
+
+
+def _stage_cost(pid: int, stage: int) -> int:
+    return (pid * 13 + stage * 7) % 19 + 15
+
+
+#: hand-written workloads: case name -> (workload factory,
+#: processors, schedule); each factory builds a fresh workload
+WORKLOADS = {
+    "serial-relaxation": (lambda: SerialRelaxation(8), 1, "block"),
+    "wavefront-relaxation": (
+        lambda: WavefrontRelaxation(8, CounterBarrier(4)), 4, "block"),
+    "pipelined-relaxation": (
+        lambda: PipelinedRelaxation(8, group=2), 4, "self"),
+    "statement-pipelined-relaxation": (
+        lambda: StatementPipelinedRelaxation(8, n_counters=3), 4, "self"),
+    "neighbor-pde": (lambda: NeighborPDE(4, 3, _region_cost), 4, "block"),
+    "barrier-pde": (
+        lambda: BarrierPDE(4, 3, _region_cost, TournamentBarrier(4)),
+        4, "block"),
+    "pairwise-fft": (lambda: PairwiseFFT(4, _stage_cost), 4, "block"),
+    "barrier-fft": (
+        lambda: BarrierFFT(4, _stage_cost, DisseminationBarrier(4)),
+        4, "block"),
+    "serial-loop": (lambda: SerialLoopWorkload(fig21_loop(n=12)),
+                    2, "block"),
 }
 
 
@@ -109,16 +159,21 @@ def _run_loop_machine(scheme_name: str, stem: str,
     machine = Machine(MachineConfig(processors=processors,
                                     schedule=schedule, record_trace=True,
                                     stagnation_limit=stagnation_limit))
-    result = make_scheme(scheme_name).run(
+    result = _make_scheme(scheme_name).run(
         loop, config=RunConfig(machine=machine, validate=False))
     return result, machine
+
+
+def _make_scheme(scheme_name: str):
+    name, kwargs = SCHEMES[scheme_name]
+    return make_scheme(name, **kwargs)
 
 
 def _run_recovery_case(scheme_name: str, stem: str,
                        plan: str) -> RunResult:
     """A crash-recovery run: checkpoints on, crashed tasks replayed."""
     app, params, processors, schedule = LOOPS[stem]
-    instrumented = make_scheme(scheme_name).instrument(
+    instrumented = _make_scheme(scheme_name).instrument(
         build_app(app, dict(params)))
     instrumented.bound_waits(100_000)
     machine = Machine(MachineConfig(
@@ -143,19 +198,28 @@ def _run_barrier_case(name: str) -> RunResult:
     return machine.run(workload)
 
 
+def _run_workload_case(name: str) -> RunResult:
+    factory, processors, schedule = WORKLOADS[name]
+    machine = Machine(MachineConfig(processors=processors,
+                                    schedule=schedule, record_trace=True))
+    return machine.run(factory())
+
+
 def _all_cases():
     for stem in LOOPS:
-        for scheme_name in scheme_names():
+        for scheme_name in SCHEMES:
             yield f"{stem}/{scheme_name}", (
                 lambda s=scheme_name, t=stem: _run_loop_case(s, t))
     for stem in RECOVERY_LOOPS:
         for plan in RECOVERY_PLANS:
-            for scheme_name in scheme_names():
+            for scheme_name in SCHEMES:
                 yield f"recover/{stem}/{plan}/{scheme_name}", (
                     lambda s=scheme_name, t=stem, p=plan:
                     _run_recovery_case(s, t, p))
     for name in BARRIERS:
         yield name, (lambda n=name: _run_barrier_case(n))
+    for name in WORKLOADS:
+        yield f"workload/{name}", (lambda n=name: _run_workload_case(n))
 
 
 CASES = dict(_all_cases())
@@ -187,7 +251,7 @@ def test_run_result_bytes_match_golden(case_id: str,
 
 
 @pytest.mark.parametrize("stem", sorted(LOOPS))
-@pytest.mark.parametrize("scheme_name", scheme_names())
+@pytest.mark.parametrize("scheme_name", list(SCHEMES))
 def test_armed_watchdog_matches_golden(scheme_name: str, stem: str,
                                        golden: Dict[str, str]) -> None:
     """Arming the stagnation watchdog only adds a check per event: a
