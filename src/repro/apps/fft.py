@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Generator, List
 
 from ..barriers.base import Barrier
 from ..core.process_counter import pc_at_least
-from ..sim.machine import Machine, MachineConfig
+from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
 from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
@@ -85,7 +85,7 @@ def _stage_ops(pid: int, stage: int, cost: int) -> Generator:
     yield Fence()
 
 
-class PairwiseFFT:
+class PairwiseFFT(Workload):
     """The paper's ``fft()``: process counters, partner-only waits.
 
     After stage ``i``: ``mark_PC(i); while (PC[pid xor 2^(i-1)].step < i)``.
@@ -123,18 +123,12 @@ class PairwiseFFT:
                                 reason=f"fft s{stage} next-partner (p{pid})")
             yield Annotate("stage_exit", {"pid": pid, "stage": stage})
 
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
-
     @property
     def sync_vars(self) -> int:
         return self.n_processors
 
 
-class BarrierFFT:
+class BarrierFFT(Workload):
     """The global-barrier baseline: every stage ends at a full barrier."""
 
     def __init__(self, n_processors: int,
@@ -155,12 +149,6 @@ class BarrierFFT:
             yield Annotate("stage_done", {"pid": pid, "stage": stage})
             yield from self.barrier.arrive(pid)
             yield Annotate("stage_exit", {"pid": pid, "stage": stage})
-
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
 
     @property
     def sync_vars(self) -> int:

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Generator, List
 
 from ..barriers.base import Barrier
 from ..core.process_counter import pc_at_least
-from ..sim.machine import Machine, MachineConfig
+from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
 from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
@@ -86,7 +86,7 @@ def _sweep_ops(region: int, sweep: int, n_regions: int,
     yield Fence()
 
 
-class NeighborPDE:
+class NeighborPDE(Workload):
     """Neighbour-only synchronization with process counters."""
 
     def __init__(self, n_regions: int, sweeps: int,
@@ -125,18 +125,12 @@ class NeighborPDE:
                                            f"<- r{neighbour}")
             yield Annotate("sweep_exit", {"pid": region, "sweep": sweep})
 
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
-
     @property
     def sync_vars(self) -> int:
         return self.n_regions
 
 
-class BarrierPDE:
+class BarrierPDE(Workload):
     """Global barrier per sweep: the baseline Example 5 argues against."""
 
     def __init__(self, n_regions: int, sweeps: int,
@@ -162,12 +156,6 @@ class BarrierPDE:
             if sweep < self.sweeps:
                 yield from self.barrier.arrive(region)
             yield Annotate("sweep_exit", {"pid": region, "sweep": sweep})
-
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
 
     @property
     def sync_vars(self) -> int:

@@ -36,11 +36,11 @@ from ..barriers.base import Barrier
 from ..core.improved import ImprovedPrimitives
 from ..core.primitives import wait_pc
 from ..core.process_counter import ProcessCounterFile
-from ..sim.machine import Machine, MachineConfig
+from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
 from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
-                       SyncWrite, WaitUntil)
+                       SyncWrite, WaitUntil, at_least)
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import ValidationError, mix
 
@@ -99,7 +99,7 @@ def column_groups(n: int, group: int) -> List[Tuple[int, int]]:
     return [(k, min(k + group - 1, n)) for k in range(2, n + 1, group)]
 
 
-class SerialRelaxation:
+class SerialRelaxation(Workload):
     """All points in sequential order on one process."""
 
     def __init__(self, n: int, cost: int = 10) -> None:
@@ -115,18 +115,12 @@ class SerialRelaxation:
             for j in range(2, self.n + 1):
                 yield from point_ops(self.n, i, j, self.cost)
 
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
-
     @property
     def sync_vars(self) -> int:
         return 0
 
 
-class WavefrontRelaxation:
+class WavefrontRelaxation(Workload):
     """Anti-diagonal wavefronts with a barrier between them (Fig. 5.1(c)).
 
     P pinned processes; wavefront ``w`` holds points ``i + j = w``; each
@@ -163,12 +157,6 @@ class WavefrontRelaxation:
                 yield Fence()  # writes visible before releasing the front
             yield from self.barrier.arrive(pid)
 
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
-
     @property
     def sync_vars(self) -> int:
         return self.barrier.sync_vars
@@ -178,7 +166,7 @@ class WavefrontRelaxation:
         return len(self.wavefronts())
 
 
-class PipelinedRelaxation:
+class PipelinedRelaxation(Workload):
     """Asynchronous pipelining with process counters (Fig. 5.1(b)/(d)).
 
     Row ``i`` is process ``pid = i - 1``; before computing column group
@@ -216,12 +204,6 @@ class PipelinedRelaxation:
             else:
                 yield from primitives.mark_pc(g)
 
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
-
     @property
     def sync_vars(self) -> int:
         return self.counters.n_counters
@@ -237,7 +219,7 @@ class PipelinedRelaxation:
         return (self.n - 1) + len(self.groups) - 1
 
 
-class StatementPipelinedRelaxation:
+class StatementPipelinedRelaxation(Workload):
     """The pipeline under Alliant-style statement counters.
 
     With only S synchronization registers (constant indices!), each row
@@ -270,21 +252,15 @@ class StatementPipelinedRelaxation:
             var = self._sc_vars[g]
             if pid > 1:
                 # Await(1, g): row i-1 has passed this column group
-                yield WaitUntil(var, _at_least(pid - 1),
+                yield WaitUntil(var, at_least(pid - 1),
                                 reason=f"Await(1,g{g}) p{pid}")
             for j in range(start, end + 1):
                 yield from point_ops(self.n, i, j, self.cost)
             yield Fence()
             # Advance(g): strictly ordered across processes
-            yield WaitUntil(var, _at_least(pid - 1),
+            yield WaitUntil(var, at_least(pid - 1),
                             reason=f"Advance(g{g}) p{pid}")
             yield SyncWrite(var, pid)
-
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
 
     @property
     def sync_vars(self) -> int:
@@ -293,12 +269,6 @@ class StatementPipelinedRelaxation:
     @property
     def sync_points_per_row(self) -> int:
         return len(self.groups)
-
-
-def _at_least(threshold: int):
-    def predicate(value: int) -> bool:
-        return value >= threshold
-    return predicate
 
 
 def run_relaxation(workload, processors: int, schedule: str = "self",

@@ -11,11 +11,12 @@ this interface so one bench can sweep them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Generator, List, Tuple
+from typing import Callable, Dict, Generator, List, Tuple
 
+from ..sim.machine import Workload
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
-from ..sim.ops import Address, Annotate, Compute
+from ..sim.ops import Annotate, Compute
 from ..sim.sync_bus import SyncFabric
 
 
@@ -48,7 +49,7 @@ class Barrier(ABC):
         """Synchronization variables the barrier occupies."""
 
 
-class PhasedWorkload:
+class PhasedWorkload(Workload):
     """P pinned processes alternating computation and a barrier.
 
     ``work`` maps ``(pid, phase)`` to compute cycles, so benches can
@@ -74,12 +75,6 @@ class PhasedWorkload:
             yield Annotate("phase_done", {"pid": pid, "phase": phase})
             yield from self.barrier.arrive(pid)
             yield Annotate("barrier_exit", {"pid": pid, "phase": phase})
-
-    def prologue(self) -> List[Generator]:
-        return []
-
-    def initial_memory(self) -> Dict[Address, Any]:
-        return {}
 
     @property
     def sync_vars(self) -> int:

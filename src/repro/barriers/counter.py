@@ -13,19 +13,10 @@ from __future__ import annotations
 from typing import Generator
 
 from ..sim.memory import SharedMemory
-from ..sim.ops import SyncRead, SyncUpdate, SyncWrite, WaitUntil
+from ..sim.ops import (SyncRead, SyncUpdate, SyncWrite, WaitUntil, at_least,
+                       increment)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from .base import Barrier
-
-
-def _increment(value: int) -> int:
-    return value + 1
-
-
-def _at_least(threshold: int):
-    def predicate(value: int) -> bool:
-        return value >= threshold
-    return predicate
 
 
 class CounterBarrier(Barrier):
@@ -74,18 +65,18 @@ class CounterBarrier(Barrier):
         machine does provide; the counter update itself is an ordinary
         read + write under the lock.
         """
-        ticket = yield SyncUpdate(self._ticket_var, _increment)
-        yield WaitUntil(self._serving_var, _at_least(ticket - 1),
+        ticket = yield SyncUpdate(self._ticket_var, increment)
+        yield WaitUntil(self._serving_var, at_least(ticket - 1),
                         reason=f"barrier lock ticket {ticket} (p{pid})")
         count = yield SyncRead(self._count_var)
         yield SyncWrite(self._count_var, count + 1)
-        yield SyncUpdate(self._serving_var, _increment)
+        yield SyncUpdate(self._serving_var, increment)
         return count + 1
 
     def arrive(self, pid: int) -> Generator:
         episode = self.next_episode(pid)
         if self.hardware_fetch_add:
-            arrived = yield SyncUpdate(self._count_var, _increment)
+            arrived = yield SyncUpdate(self._count_var, increment)
         else:
             arrived = yield from self._locked_increment(pid)
         if arrived == self.n_processors:
@@ -94,7 +85,7 @@ class CounterBarrier(Barrier):
             # through the memory system), so next-episode increments
             # cannot race it.
             yield SyncWrite(self._count_var, 0)
-            yield SyncUpdate(self._generation_var, _increment)
+            yield SyncUpdate(self._generation_var, increment)
         else:
-            yield WaitUntil(self._generation_var, _at_least(episode),
+            yield WaitUntil(self._generation_var, at_least(episode),
                             reason=f"barrier gen >= {episode} (p{pid})")

@@ -26,7 +26,7 @@ from typing import Dict, Generator, List, Tuple
 
 from ..core.process_counter import pc_at_least
 from ..sim.memory import SharedMemory
-from ..sim.ops import SyncWrite, WaitUntil
+from ..sim.ops import SyncWrite, WaitUntil, at_least
 from ..sim.sync_bus import BroadcastSyncFabric, MemorySyncFabric, SyncFabric
 from .base import Barrier
 
@@ -36,12 +36,6 @@ def rounds_for(n_processors: int) -> int:
     if n_processors < 2:
         raise ValueError("a barrier needs at least two processors")
     return math.ceil(math.log2(n_processors))
-
-
-def _at_least(threshold: int):
-    def predicate(value: int) -> bool:
-        return value >= threshold
-    return predicate
 
 
 class DisseminationBarrier(Barrier):
@@ -75,7 +69,7 @@ class DisseminationBarrier(Barrier):
             yield SyncWrite(self._flags[(round_index, target)], episode)
             # wait backward: our flag for this round reaches the episode
             yield WaitUntil(self._flags[(round_index, pid)],
-                            _at_least(episode),
+                            at_least(episode),
                             reason=f"dissem r{round_index} (p{pid} "
                                    f"<- p{source})")
 

@@ -18,15 +18,9 @@ import math
 from typing import Dict, Generator, List, Tuple
 
 from ..sim.memory import SharedMemory
-from ..sim.ops import SyncWrite, WaitUntil
+from ..sim.ops import SyncWrite, WaitUntil, at_least
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from .base import Barrier
-
-
-def _at_least(threshold: int):
-    def predicate(value: int) -> bool:
-        return value >= threshold
-    return predicate
 
 
 class TournamentBarrier(Barrier):
@@ -88,13 +82,13 @@ class TournamentBarrier(Barrier):
         # (and wait for release) or, as champion, start the way down.
         for round_index, _partner in wins:
             yield WaitUntil(self._arrival[(round_index, pid)],
-                            _at_least(episode),
+                            at_least(episode),
                             reason=f"tourn arrive r{round_index} (p{pid})")
         if losses:
             round_index, winner = losses[0]
             yield SyncWrite(self._arrival[(round_index, winner)], episode)
             yield WaitUntil(self._release[(round_index, pid)],
-                            _at_least(episode),
+                            at_least(episode),
                             reason=f"tourn release r{round_index} (p{pid})")
         # Going down: release every loser we beat, deepest round last
         # (the reverse order of the way up).

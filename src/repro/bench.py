@@ -329,7 +329,7 @@ def format_entry(entry: Dict[str, Any], title: str = "bench") -> str:
 def main(command: str = "bench-engine",
          argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro bench-engine|bench-analyze``."""
-    from .cli import make_parser, add_common_options
+    from .cli import add_common_options, make_parser, positive
 
     engine = command == "bench-engine"
     parser = make_parser(
@@ -353,7 +353,7 @@ def main(command: str = "bench-engine",
             help="trace-size ladder: 'small' for CI, 'full' adds the "
                  ">=10^6-event top rung (default small)")
     parser.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
+        "--repeat", type=positive(), default=1, metavar="N",
         help="time each case N times and keep the best wall clock")
     parser.add_argument(
         "--note", default="", metavar="TEXT",
@@ -363,7 +363,7 @@ def main(command: str = "bench-engine",
         help="compare against the trajectory at PATH and exit non-zero "
              "on a regression")
     parser.add_argument(
-        "--min-ratio", type=float, default=0.8, metavar="R",
+        "--min-ratio", type=positive(float), default=0.8, metavar="R",
         help="regression threshold for --check: fail when raw and "
              "normalized throughput both drop below R x baseline "
              "(default 0.8)")

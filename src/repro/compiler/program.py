@@ -23,7 +23,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..depend.model import Loop
 from ..schemes.base import execute_statement, precompile_statements
-from ..sim.machine import Machine, MachineConfig
+from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
 from ..sim.ops import Address
@@ -32,7 +32,7 @@ from ..sim.validate import ValidationError, check_reads_match_sequential
 from .pipeline import CompileResult, compile_loop
 
 
-class SerialLoopWorkload:
+class SerialLoopWorkload(Workload):
     """A loop executed in sequential order by a single process."""
 
     def __init__(self, loop: Loop,
@@ -52,9 +52,6 @@ class SerialLoopWorkload:
                 if stmt.executes_at(index):
                     yield from execute_statement(self.loop, stmt, index,
                                                  lpid)
-
-    def prologue(self) -> List[Generator]:
-        return []
 
     def initial_memory(self) -> Dict[Address, Any]:
         return dict(self.seed_memory)

@@ -22,12 +22,10 @@ from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..depend.graph import DependenceGraph
 from ..depend.model import Index, Loop, Statement
-from ..sim.machine import Machine, MachineConfig
-from ..sim.memory import SharedMemory
+from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.metrics import RunResult
 from ..sim.ops import (Address, Annotate, Compute, MemRead, MemWrite,
                        WaitUntil)
-from ..sim.sync_bus import SyncFabric
 from ..sim.validate import (check_dependence_instances, check_final_state,
                             check_reads_match_recovered,
                             check_reads_match_sequential, mix)
@@ -165,12 +163,12 @@ def bound_waits(process: Generator, max_spin: int) -> Generator:
         return
 
 
-class InstrumentedLoop(ABC):
+class InstrumentedLoop(Workload):
     """A loop wrapped in one scheme's synchronization, ready to simulate.
 
-    Implements the :class:`repro.sim.machine.Workload` protocol and adds
-    scheme metadata (synchronization-variable counts) plus
-    :meth:`validate`, which checks a run against sequential semantics.
+    A :class:`repro.sim.machine.Workload` that adds scheme metadata
+    (synchronization-variable counts) plus :meth:`validate`, which checks
+    a run against sequential semantics.
     """
 
     #: True when the scheme renames storage (instance-based): final-state
@@ -193,20 +191,6 @@ class InstrumentedLoop(ABC):
         #: memory contents present before the loop runs (set by callers
         #: chaining loops into programs; see repro.compiler.program)
         self.seed_memory: Dict[Address, Any] = {}
-
-    # -- Workload protocol -------------------------------------------------
-
-    @abstractmethod
-    def build_fabric(self, memory: SharedMemory) -> SyncFabric:
-        """Create the fabric this scheme's variables live on."""
-
-    @abstractmethod
-    def make_process(self, iteration: int) -> Generator:
-        """The instrumented loop body for process ``iteration`` (an lpid)."""
-
-    def prologue(self) -> List[Generator]:
-        """Setup processes (e.g. key initialization); default: none."""
-        return []
 
     def recompile(self) -> None:
         """Rebuild precompiled op streams from the loop's current state.
@@ -267,13 +251,6 @@ class InstrumentedLoop(ABC):
         names = set(self.arrays())
         return {addr: value for addr, value in result.final_memory.items()
                 if addr[0] in names}
-
-    # -- metadata ---------------------------------------------------------
-
-    @property
-    @abstractmethod
-    def sync_vars(self) -> int:
-        """How many synchronization variables the scheme uses."""
 
     # -- validation ---------------------------------------------------------
 

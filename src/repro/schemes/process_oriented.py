@@ -142,9 +142,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
         return self.counters.n_counters if self.needs_counters else 0
 
     def make_process(self, iteration: int) -> Generator:
-        if self.style == "basic":
-            return self._basic_process(iteration)
-        return self._improved_process(iteration)
+        return self._body(iteration)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -159,29 +157,32 @@ class ProcessOrientedLoop(InstrumentedLoop):
         marks there are signed off by the journalled (higher) step or by
         the final transfer, exactly as in lazy-mark mode.
         """
-        skip = 0 if checkpoint is None else checkpoint["stmt"]
-        if self.style == "basic":
-            return self._basic_process(iteration, skip_stmt=skip,
-                                       restore=checkpoint)
-        return self._improved_process(iteration, skip_stmt=skip,
-                                      restore=checkpoint)
-
-    def _ckpt(self, pid: int, stmt_pos: int, **state) -> Optional[dict]:
-        if not self.checkpoints_enabled:
-            return None
-        payload = {"iter": pid, "stmt": stmt_pos}
-        payload.update(state)
-        return payload
+        return self._body(iteration, restore=checkpoint)
 
     # ------------------------------------------------------------------
     # emission, one generator per iteration
     # ------------------------------------------------------------------
 
-    def _basic_process(self, pid: int, skip_stmt: int = 0,
-                       restore: Optional[dict] = None) -> Generator:
+    def _body(self, pid: int, restore: Optional[dict] = None) -> Generator:
+        """One iteration's op stream in either primitive style.
+
+        Waits, data ops, fences and the step cursor are the same for
+        both styles; ``style`` picks only how a source signals.
+        """
+        basic = self.style == "basic"
+        checkpoints = self.checkpoints_enabled
         cursor = StepCursor(self.plan.n_sources,
                             eager=self.eager_branch_marks)
-        acquired = bool(restore and restore.get("acquired"))
+        # basic: whether get_PC has run.  improved: load_index -- myPC
+        # and the owned flag live in processor registers.
+        acquired = False
+        primitives = ImprovedPrimitives(self.counters, pid)
+        skip_stmt = 0
+        if restore:
+            skip_stmt = restore["stmt"]
+            acquired = bool(restore.get("acquired"))
+            primitives.owned = bool(restore.get("owned"))
+            primitives.last_step = restore.get("last_step", 0)
         for stmt_pos, (waits, executed, compiled,
                        stmt_plan) in enumerate(self._frames[pid]):
             replay_skip = stmt_pos < skip_stmt
@@ -213,69 +214,35 @@ class ProcessOrientedLoop(InstrumentedLoop):
             step = cursor.advance(executed)
             if replay_skip:
                 continue  # signal landed pre-crash; cursor stays in sync
-            if stmt_plan.is_last_source:
-                if not acquired:
-                    yield from get_pc(self.counters, pid)
-                    acquired = True
-                yield from release_pc(self.counters, pid,
-                                      current_step=cursor.published,
-                                      checkpoint=self._ckpt(
-                                          pid, stmt_pos + 1,
-                                          acquired=True))
-            elif step is not None:
-                if not acquired:
-                    yield from get_pc(self.counters, pid)
-                    acquired = True
-                yield from set_pc(self.counters, pid, step,
-                                  checkpoint=self._ckpt(
-                                      pid, stmt_pos + 1, acquired=True))
-
-    def _improved_process(self, pid: int, skip_stmt: int = 0,
-                          restore: Optional[dict] = None) -> Generator:
-        cursor = StepCursor(self.plan.n_sources,
-                            eager=self.eager_branch_marks)
-        # load_index: myPC and the owned flag live in processor registers.
-        primitives = ImprovedPrimitives(self.counters, pid)
-        if restore:
-            primitives.owned = bool(restore.get("owned"))
-            primitives.last_step = restore.get("last_step", 0)
-        for stmt_pos, (waits, executed, compiled,
-                       stmt_plan) in enumerate(self._frames[pid]):
-            replay_skip = stmt_pos < skip_stmt
-            if not replay_skip:
-                for op in waits:
-                    yield op
-                if compiled is not None:
-                    # inlined CompiledStatement.stream (same op sequence)
-                    yield compiled.tag_op
-                    values = []
-                    for read_op in compiled.read_ops:
-                        value = yield read_op
-                        values.append(value)
-                    yield compiled.compute_op
-                    result = mix(compiled.sid, compiled.lpid, values)
-                    for addr in compiled.write_addrs:
-                        yield MemWrite(addr, result)
-                    yield _CLEAR_TAG
-            if stmt_plan.source_step is None:
+            last = stmt_plan.is_last_source
+            if last:
+                step = cursor.published
+            elif step is None:
                 continue
-            # Fence on every path, skipped sources included (see
-            # _basic_process): pruning relies on it.
-            if not replay_skip:
-                yield _FENCE
-            step = cursor.advance(executed)
-            if replay_skip:
-                continue  # signal landed pre-crash; cursor stays in sync
-            if stmt_plan.is_last_source:
-                primitives.last_step = cursor.published
-                yield from primitives.transfer_pc(
-                    checkpoint=self._ckpt(pid, stmt_pos + 1, owned=True,
-                                          last_step=cursor.published))
-            elif step is not None:
-                yield from primitives.mark_pc(
-                    step,
-                    checkpoint=self._ckpt(pid, stmt_pos + 1, owned=True,
-                                          last_step=step))
+            checkpoint = None
+            if checkpoints:
+                checkpoint = {"iter": pid, "stmt": stmt_pos + 1}
+                if basic:
+                    checkpoint["acquired"] = True
+                else:
+                    checkpoint["owned"] = True
+                    checkpoint["last_step"] = step
+            if basic:
+                if not acquired:
+                    yield from get_pc(self.counters, pid)
+                    acquired = True
+                if last:
+                    yield from release_pc(self.counters, pid,
+                                          current_step=step,
+                                          checkpoint=checkpoint)
+                else:
+                    yield from set_pc(self.counters, pid, step,
+                                      checkpoint=checkpoint)
+            elif last:
+                primitives.last_step = step
+                yield from primitives.transfer_pc(checkpoint=checkpoint)
+            else:
+                yield from primitives.mark_pc(step, checkpoint=checkpoint)
 
 
 class ProcessOrientedScheme(SyncScheme):

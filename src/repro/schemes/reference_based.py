@@ -31,7 +31,7 @@ from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
 from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
-                       SyncUpdate, SyncWrite, WaitUntil)
+                       SyncUpdate, SyncWrite, WaitUntil, at_least, increment)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import InstrumentedLoop, SyncScheme
@@ -45,10 +45,6 @@ class KeyedAccess:
     addr: Address
     threshold: int   # wait until key >= threshold
     ordinal: int     # this access's position in the element's sequence
-
-
-def _increment(value: int) -> int:
-    return value + 1
 
 
 #: shared immutable ops for the compiled streams
@@ -133,10 +129,10 @@ class ReferenceBasedLoop(InstrumentedLoop):
             writes = []
             for access in self.plan[(stmt.sid, pid)]:
                 key = self._key_of[access.addr]
-                wait_op = WaitUntil(key, _at_least(access.threshold),
+                wait_op = WaitUntil(key, at_least(access.threshold),
                                     reason=f"key {access.addr} >= "
                                            f"{access.threshold}")
-                update_op = SyncUpdate(key, _increment)
+                update_op = SyncUpdate(key, increment)
                 if access.kind == "R":
                     reads.append((wait_op, MemRead(access.addr),
                                   update_op))
@@ -233,12 +229,6 @@ class ReferenceBasedLoop(InstrumentedLoop):
                     "values": list(values)})
                     if checkpoints else update_op)
             yield _CLEAR_TAG
-
-
-def _at_least(threshold: int):
-    def predicate(value: int) -> bool:
-        return value >= threshold
-    return predicate
 
 
 class ReferenceBasedScheme(SyncScheme):

@@ -28,26 +28,12 @@ from typing import Any, Dict, Generator, List, Optional
 from ..depend.graph import DependenceGraph, SyncArc
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import Fence, MemWrite, SyncWrite, WaitUntil
+from ..sim.ops import Fence, MemWrite, SyncWrite, WaitUntil, at_least
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, InstrumentedLoop, SyncScheme,
                    compile_statement)
 
-
-def at_least(threshold: int):
-    """Monotone predicate: counter value >= ``threshold``."""
-    predicate = _AT_LEAST.get(threshold)
-    if predicate is None:
-        def predicate(value: int, _threshold: int = threshold) -> bool:
-            return value >= _threshold
-        _AT_LEAST[threshold] = predicate
-    return predicate
-
-
-#: threshold -> predicate memo; thresholds are small ints, and reusing
-#: the closure keeps compiled op streams allocation-free
-_AT_LEAST: Dict[int, Any] = {}
 
 _FENCE = Fence()
 

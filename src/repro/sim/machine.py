@@ -10,8 +10,9 @@ executes it.  The result is a :class:`~repro.sim.metrics.RunResult`.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Protocol, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
@@ -28,27 +29,39 @@ from .sync_bus import SyncFabric
 SCHED_COUNTER: Address = ("__sched__", 0)
 
 
-class Workload(Protocol):
+class Workload(ABC):
     """What a synchronization scheme hands to the machine.
 
     ``iterations`` is the ordered list of process ids; ``make_process``
     turns a process id into an operation generator.  ``prologue``
     generators run to completion (in parallel) before the loop starts and
-    model per-run setup such as initializing data-oriented keys.
+    model per-run setup such as initializing data-oriented keys; by
+    default there is none, and shared memory starts empty.  The machine
+    only calls these methods, so any object providing them runs too.
     """
 
     iterations: Sequence[int]
 
-    def build_fabric(self, memory: SharedMemory) -> SyncFabric: ...
+    @abstractmethod
+    def build_fabric(self, memory: SharedMemory) -> SyncFabric:
+        """Create the fabric this workload's variables live on."""
 
-    def make_process(self, iteration: int) -> Generator: ...
+    @abstractmethod
+    def make_process(self, iteration: int) -> Generator:
+        """The op generator for process ``iteration``."""
 
-    def prologue(self) -> List[Generator]: ...
+    def prologue(self) -> List[Generator]:
+        """Setup processes run before the loop; default: none."""
+        return []
 
-    def initial_memory(self) -> Dict[Address, Any]: ...
+    def initial_memory(self) -> Dict[Address, Any]:
+        """Pre-run contents of shared memory; default: empty."""
+        return {}
 
     @property
-    def sync_vars(self) -> int: ...
+    @abstractmethod
+    def sync_vars(self) -> int:
+        """How many synchronization variables the workload uses."""
 
 
 @dataclass

@@ -35,7 +35,7 @@ substrate (which *executes* them):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 #: A shared-memory address: an (array name, flat element index) pair.
 Address = Tuple[str, int]
@@ -134,6 +134,26 @@ class WaitUntil:
     #: diagnosed DeadlockError if the wait is still unsatisfied after
     #: this many cycles (bounded wait; see schemes.base.bound_waits).
     max_spin: Optional[int] = None
+
+
+def at_least(threshold: int) -> Callable[[int], bool]:
+    """Monotone :class:`WaitUntil` predicate: value >= ``threshold``."""
+    predicate = _AT_LEAST.get(threshold)
+    if predicate is None:
+        def predicate(value: int, _threshold: int = threshold) -> bool:
+            return value >= _threshold
+        _AT_LEAST[threshold] = predicate
+    return predicate
+
+
+#: threshold -> predicate memo; thresholds are small ints, and reusing
+#: the closure keeps compiled op streams allocation-free
+_AT_LEAST: Dict[int, Callable[[int], bool]] = {}
+
+
+def increment(value: int) -> int:
+    """:class:`SyncUpdate` function: add one."""
+    return value + 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -199,6 +199,20 @@ def test_sweep_requires_spec(capsys):
         assert message in capsys.readouterr().err, argv
 
 
+def test_bench_rejects_inputs_that_disable_the_gate(capsys):
+    """``--min-ratio`` <= 0 would make ``--check`` unable to fail and
+    ``--repeat`` <= 0 would silently run once: both are parser errors,
+    rejected before any case is timed."""
+    for mode in ("bench-engine", "bench-analyze"):
+        for flag, value in [("--min-ratio", "0"), ("--min-ratio", "-1"),
+                            ("--repeat", "0"), ("--repeat", "-1")]:
+            argv = [mode, flag, value]
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
+            assert f"{flag}: must be > 0" in capsys.readouterr().err, argv
+
+
 def test_sweep_cold_then_warm(tmp_path, capsys):
     import json
 
