@@ -20,72 +20,21 @@ full pipeline -- dependence analysis, classification, doacross-delay
 analysis, scheme selection, simulation, validation -- and prints the
 compilation report, the run metrics, and a processor timeline.
 
-Options::
+The other modes drive the rest of the reproduction: ``chaos`` sweeps
+seeded fault plans across the schemes and checks the degradation
+contract (:mod:`repro.faults`); ``sweep`` runs the declarative
+benchmark grids and ``doctor`` checks their shared store
+(:mod:`repro.lab`); ``serve`` keeps a sweep service resident, with
+``submit`` / ``status`` / ``watch`` / ``cancel`` as its client verbs;
+``analyze`` verifies sync placements statically and dynamically
+(:mod:`repro.analyze`); ``bench-engine`` and ``bench-analyze`` measure
+throughput against a committed trajectory (:mod:`repro.bench`).
 
-    --processors P      machine size (default 8)
-    --scheme NAME       force a scheme instead of letting the compiler pick
-    --objective OBJ     selection objective: time | storage | traffic
-    --schedule POLICY   self | chunk | guided | cyclic | block
-    --bind NAME=VALUE   bind a symbolic loop bound (repeatable)
-    --timeline-width W  timeline width in characters (default 72)
-    --demo              run the built-in Fig 2.1 demo instead of a file
-
-All modes share the ``--json`` / ``--seed`` / ``--procs`` trio (see
-:mod:`repro.cli`).
-
-``chaos`` mode sweeps seeded fault plans (lost broadcasts, stalls,
-crashes, flaky RMW commits, latency jitter) across every
-synchronization scheme and checks the degradation contract: each run
-either validates against sequential semantics or dies with a diagnosed
-structured error -- never a hang, never silent corruption.  See
-``python -m repro chaos --help``.
-
-``sweep`` mode runs the declarative benchmark grids of
-:mod:`repro.lab`: preset (or JSON-file) sweep specs expand into cells,
-warm cells come from the content-addressed cache, cold cells fan out
-over ``--procs`` *supervised* workers (per-cell ``--cell-timeout``,
-bounded ``--max-retries`` with backoff, crash detection + respawn,
-quarantine of budget-exhausted cells with exit code 3), and versioned
-records merge into the ``--json`` store as they land.  An interrupted
-sweep (Ctrl-C / SIGTERM) re-enters with ``--resume`` recomputing zero
-completed cells.  N sweeps may share one ``--cache-dir`` concurrently:
-per-cell claim files give single-flight semantics (an in-flight cell is
-waited for, not recomputed; a crashed claimant's cell is taken over),
-every entry is checksummed, and the merged store is lock-serialized.
-See ``python -m repro sweep --help``.
-
-``serve`` mode keeps a sweep service resident: many clients submit
-jobs over a local unix socket to one shared supervised worker pool
-with in-flight dedup (two clients racing overlapping grids pay for
-the union exactly once), watch typed event streams, and cancel jobs;
-SIGTERM drains -- unfinished jobs are journaled and a restarted
-server resumes them recomputing zero completed cells.  ``submit`` /
-``status`` / ``watch`` / ``cancel`` are the matching client verbs.
-See ``python -m repro serve --help``.
-
-``doctor`` mode is the fsck for that shared store: it verifies entry
-checksums and schema versions, reaps orphaned tmp files and stale
-claims, and reports a typed summary; ``--repair`` quarantines corrupt
-entries and deletes stale ones so the next sweep re-simulates exactly
-the damaged cells.  See ``python -m repro doctor --help``.
-
-``bench-engine`` mode measures raw engine throughput (events per
-second) over the preset grids, and ``bench-analyze`` measures race
-sanitizer and optimizer throughput; both append a schema-versioned
-entry to a benchmark trajectory file, and ``--check`` compares the
-fresh numbers against a committed trajectory and fails on a
-regression.  See :mod:`repro.bench` and ``python -m repro
-bench-engine --help``.
-
-``analyze`` mode is the static side of :mod:`repro.analyze`: it proves
-a compiled sync placement enforces every dependence arc (races and
-unsatisfiable waits come back as typed findings with witness
-iterations), optionally runs the placement optimizer that drops
-provably redundant sync arcs (``--optimize``, which also reports the
-farthest-first baseline), and cross-checks the verdict with a dynamic
-vector-clock sanitizer (skipped with ``--static-only``).  ``--gate``
-verifies every shipped app x scheme pair, which is what CI runs.  See
-``python -m repro analyze --help``.
+Every mode is one :class:`Mode` entry in :data:`MODES`: its ``--help``
+description, the function adding its options, and the function running
+it; ``python -m repro <mode> --help`` describes each.  The modes that
+fan out or write results share the ``--json`` / ``--seed`` /
+``--procs`` trio (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
@@ -95,15 +44,17 @@ import json
 import pathlib
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 from .cli import (add_cache_options, add_common_options,
                   add_executor_options, add_service_options,
-                  graceful_sigterm, make_parser, positive)
+                  graceful_sigterm, positive)
 from .compiler import compile_loop, run_program
 from .frontend import parse_loop, parse_program
 from .report import render_timeline
 from .schemes import scheme_names
 from .sim import Machine, MachineConfig
+from .sim.machine import SCHEDULES
 
 DEMO_SOURCE = """
 DO I = 1, N
@@ -116,12 +67,21 @@ END DO
 """
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing)."""
-    parser = make_parser(
-        "python -m repro",
-        "Compile and simulate a DOACROSS loop "
-        "(Su & Yew, ISCA 1989 reproduction).")
+class Mode(NamedTuple):
+    """One ``python -m repro`` mode: an entry of :data:`MODES`.
+
+    ``options`` adds the mode's flags to its parser; ``run`` gets that
+    parser (for ``parser.error``) and the parsed arguments and returns
+    the exit code.  A mode without ``options`` parses its own
+    arguments: ``run(name, argv)``.
+    """
+
+    description: Optional[str]
+    options: Optional[Callable[[argparse.ArgumentParser], None]]
+    run: Callable[..., int]
+
+
+def _run_options(parser: argparse.ArgumentParser) -> None:
     add_common_options(parser)
     parser.add_argument("source", nargs="?", type=pathlib.Path,
                         help="mini-Fortran file containing one DO nest")
@@ -133,9 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "compiler pick")
     parser.add_argument("--objective", default="time",
                         choices=["time", "storage", "traffic"])
-    parser.add_argument("--schedule", default="self",
-                        choices=["self", "chunk", "guided", "cyclic",
-                                 "block"])
+    parser.add_argument("--schedule", default="self", choices=SCHEDULES)
     parser.add_argument("--bind", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="bind a symbolic loop bound (repeatable)")
@@ -143,17 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="treat the source as several DO nests run "
                              "in sequence with shared arrays")
     parser.add_argument("--timeline-width", type=positive(), default=72)
-    return parser
 
 
-def build_chaos_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro chaos``."""
-    parser = make_parser(
-        "python -m repro chaos",
-        "Fault-injection sweep: run every synchronization "
-        "scheme under seeded fault plans and verify each "
-        "run either validates or fails with a diagnosed "
-        "structured error.")
+def _chaos_options(parser: argparse.ArgumentParser) -> None:
     add_common_options(parser)
     parser.add_argument("--seeds", type=positive(), default=3,
                         help="seeds per (scheme, plan) cell (default 3), "
@@ -170,18 +120,9 @@ def build_chaos_parser() -> argparse.ArgumentParser:
                              "task reincarnation, degraded fallback): "
                              "recoverable plans must then complete "
                              "validated")
-    return parser
 
 
-def build_sweep_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro sweep``."""
-    parser = make_parser(
-        "python -m repro sweep",
-        "Declarative benchmark sweeps: expand preset or JSON sweep "
-        "specs into (app x scheme x machine x seed) cells, serve warm "
-        "cells from the content-addressed cache, fan cold cells over "
-        "a worker pool, and merge versioned records into the --json "
-        "store.")
+def _sweep_options(parser: argparse.ArgumentParser) -> None:
     add_common_options(parser)
     parser.add_argument("--spec", action="append", default=[],
                         metavar="NAME_OR_PATH",
@@ -215,20 +156,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         default=None, metavar="PATH",
                         help="write quarantined-cell failures (retry "
                              "budget exhausted) as JSON to PATH")
-    return parser
 
 
-def build_doctor_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro doctor``."""
-    parser = make_parser(
-        "python -m repro doctor",
-        "fsck for the shared experiment store: verify every cache "
-        "entry's checksum and schema versions, reap orphaned in-flight "
-        "tmp files and stale single-flight claims, count torn journal "
-        "lines, and report a typed summary (ok / stale / corrupt / "
-        "orphaned / quarantined).  With --repair, corrupt entries are "
-        "quarantined and stale ones deleted, so the next sweep "
-        "re-simulates exactly the damaged cells.")
+def _doctor_options(parser: argparse.ArgumentParser) -> None:
     add_common_options(parser)
     add_cache_options(parser)
     parser.add_argument("--repair", action="store_true",
@@ -241,15 +171,12 @@ def build_doctor_parser() -> argparse.ArgumentParser:
                              "seeded faults, e.g. 'bit-flips=3,"
                              "truncations=2,torn-tmps=2,dead-claims=1' "
                              "(seeded by --seed), then diagnose")
-    return parser
 
 
-def _doctor_mode(argv) -> int:
+def _doctor_mode(parser: argparse.ArgumentParser, args) -> int:
     """Diagnose (and optionally repair) the shared experiment store."""
     from .lab import DEFAULT_CACHE_DIR, ResultCache, StoreChaos, diagnose
 
-    parser = build_doctor_parser()
-    args = parser.parse_args(argv)
     root = args.cache_dir or DEFAULT_CACHE_DIR
     if not root.is_dir():
         print(f"no cache directory at {root}: nothing to diagnose")
@@ -282,15 +209,7 @@ def _doctor_mode(argv) -> int:
     return 0 if (report.healthy or args.repair) else 1
 
 
-def build_analyze_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro analyze``."""
-    parser = make_parser(
-        "python -m repro analyze",
-        "Static happens-before analysis of a compiled sync placement: "
-        "prove every dependence arc enforced (or report races with "
-        "witness iterations), detect unsatisfiable waits, run the "
-        "cost-model-guided placement optimizer, and cross-check the "
-        "static verdict with a dynamic vector-clock race sanitizer.")
+def _analyze_options(parser: argparse.ArgumentParser) -> None:
     add_common_options(parser)
     parser.add_argument("--app", default=None,
                         help="registered application name "
@@ -314,9 +233,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument("--processors", type=positive(), default=8,
                         help="machine size for the dynamic cross-check "
                              "and optimizer replay (default 8)")
-    parser.add_argument("--schedule", default="self",
-                        choices=["self", "chunk", "guided", "cyclic",
-                                 "block"])
+    parser.add_argument("--schedule", default="self", choices=SCHEDULES)
     parser.add_argument("--param", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override an app build parameter "
@@ -325,7 +242,6 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument("--static-only", action="store_true",
                         help="skip the dynamic vector-clock "
                              "cross-check")
-    return parser
 
 
 def _int_assignment(parser: argparse.ArgumentParser, flag: str,
@@ -341,7 +257,7 @@ def _int_assignment(parser: argparse.ArgumentParser, flag: str,
                  f"integer VALUE")
 
 
-def _analyze_mode(argv) -> int:
+def _analyze_mode(parser: argparse.ArgumentParser, args) -> int:
     """Statically verify placements; optionally optimize + cross-check."""
     from .analyze import (ANALYZE_SCHEMA_VERSION, dynamic_check, gate,
                           optimize, validate_optimization, verify)
@@ -349,9 +265,6 @@ def _analyze_mode(argv) -> int:
     from .depend.graph import DependenceGraph
     from .lab.apps import build_app
     from .schemes import make_scheme
-
-    parser = build_analyze_parser()
-    args = parser.parse_args(argv)
 
     if args.gate:
         try:
@@ -398,6 +311,7 @@ def _analyze_mode(argv) -> int:
 
     failed = not report.clean and not report.requires_serial
 
+    opt = None
     if args.optimize and not report.requires_serial:
         opt = optimize(loop, scheme, graph=graph, app=args.app,
                        window=args.window, processors=args.processors)
@@ -421,10 +335,6 @@ def _analyze_mode(argv) -> int:
               f"{replay['sync_ops_after']}, makespan "
               f"{replay['makespan_before']} -> "
               f"{replay['makespan_after']}")
-        if args.json is not None:
-            opt.write_json(args.json)
-            print(f"wrote optimization report to {args.json}")
-            return 1 if failed else 0
 
     if not args.static_only and not report.requires_serial:
         verdict = dynamic_check(scheme.instrument(loop, graph),
@@ -442,7 +352,10 @@ def _analyze_mode(argv) -> int:
         print(f"\ndynamic cross-check ({args.processors} processors, "
               f"{args.schedule} scheduling): {verdict.verdict} -- {note}")
 
-    if args.json is not None:
+    if args.json is not None and opt is not None:
+        opt.write_json(args.json)
+        print(f"wrote optimization report to {args.json}")
+    elif args.json is not None:
         report.write_json(args.json)
         print(f"wrote findings to {args.json}")
     return 1 if failed else 0
@@ -468,15 +381,13 @@ def _load_specs(parser: argparse.ArgumentParser, tokens, seed: int):
     return specs
 
 
-def _sweep_mode(argv) -> int:
+def _sweep_mode(parser: argparse.ArgumentParser, args) -> int:
     """Run declarative sweeps and print per-cell rows + cache stats."""
     from .lab import (DEFAULT_CACHE_DIR, ExecutorChaos, ResultCache,
                       SweepOptions, merge_records, run_sweep,
                       sweep_presets)
     from .report import print_table
 
-    parser = build_sweep_parser()
-    args = parser.parse_args(argv)
     if args.list:
         for name in sweep_presets():
             print(name)
@@ -485,6 +396,9 @@ def _sweep_mode(argv) -> int:
     if args.resume and args.no_cache:
         parser.error("--resume recovers completed cells from the cache; "
                      "it cannot be combined with --no-cache")
+    if args.assert_cached and args.no_cache:
+        parser.error("--assert-cached needs every cell served from the "
+                     "cache; it cannot be combined with --no-cache")
     chaos = None
     if args.chaos is not None:
         try:
@@ -582,15 +496,13 @@ def _sweep_mode(argv) -> int:
     return 0
 
 
-def _chaos_mode(argv) -> int:
+def _chaos_mode(parser: argparse.ArgumentParser, args) -> int:
     """Run the chaos sweep and print the outcome table."""
     from .faults.chaos import (ACCEPTABLE_OUTCOMES, run_chaos_sweep,
                                summarize)
     from .faults.plan import plan_names
     from .report import print_table
 
-    parser = build_chaos_parser()
-    args = parser.parse_args(argv)
     schemes = (scheme_names() if args.schemes == "all"
                else args.schemes.split(","))
     plans = plan_names() if args.plans == "all" else args.plans.split(",")
@@ -644,31 +556,14 @@ def _chaos_mode(argv) -> int:
     return 0
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro serve``."""
-    parser = make_parser(
-        "python -m repro serve",
-        "Run the resident sweep service: accept job submissions from "
-        "many concurrent clients over a local unix socket, shard their "
-        "cells across one shared supervised worker pool with fair "
-        "per-job interleaving and in-flight dedup, stream typed "
-        "events, and merge versioned records into the --json store.  "
-        "SIGTERM drains: unfinished jobs are journaled and a restarted "
-        "server resumes them recomputing zero completed cells.")
+def _serve_options(parser: argparse.ArgumentParser) -> None:
     add_common_options(parser, procs_default=2)
     add_cache_options(parser)
     add_executor_options(parser)
     add_service_options(parser)
-    return parser
 
 
-def build_submit_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro submit``."""
-    parser = make_parser(
-        "python -m repro submit",
-        "Submit sweep specs to a running service; prints one job id "
-        "per spec.  Identical cells across jobs (or already in the "
-        "cache) are paid for once, service-wide.")
+def _submit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", action="append", default=[],
                         metavar="NAME_OR_PATH",
                         help="sweep spec: a preset name or a JSON spec "
@@ -681,26 +576,15 @@ def build_submit_parser() -> argparse.ArgumentParser:
                              "match 'python -m repro sweep': 3 "
                              "degraded, 4 cancelled/interrupted)")
     add_service_options(parser)
-    return parser
 
 
-def build_status_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro status``."""
-    parser = make_parser(
-        "python -m repro status",
-        "Show the running service's job table (or one job's row).")
+def _status_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("job", nargs="?", default=None,
                         help="job id (default: every job)")
     add_service_options(parser)
-    return parser
 
 
-def build_watch_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro watch``."""
-    parser = make_parser(
-        "python -m repro watch",
-        "Stream a job's typed events from the running service (or the "
-        "global feed of every job when no JOB is given).")
+def _watch_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("job", nargs="?", default=None,
                         help="job id (default: global event feed)")
     parser.add_argument("--no-replay", action="store_true",
@@ -711,19 +595,12 @@ def build_watch_parser() -> argparse.ArgumentParser:
                              "one object per line, instead of the "
                              "human-readable form")
     add_service_options(parser)
-    return parser
 
 
-def build_cancel_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``python -m repro cancel``."""
-    parser = make_parser(
-        "python -m repro cancel",
-        "Cancel running service jobs.  Landed cells stay cached and "
-        "journaled; only unfinished cells are abandoned.")
+def _cancel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("jobs", nargs="+", metavar="JOB",
                         help="job id(s) to cancel")
     add_service_options(parser)
-    return parser
 
 
 def _describe_event(event) -> str:
@@ -762,7 +639,7 @@ def _job_exit_code(event) -> int:
     return 1
 
 
-def _serve_mode(argv) -> int:
+def _serve_mode(_parser: argparse.ArgumentParser, args) -> int:
     """Run the resident sweep service until SIGTERM/SIGINT drains it."""
     import os
     import signal
@@ -771,8 +648,6 @@ def _serve_mode(argv) -> int:
     from .lab import (DEFAULT_CACHE_DIR, ServiceServer, SweepOptions,
                       SweepService)
 
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
     options = SweepOptions(
         procs=args.procs, cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
         json_path=args.json, cell_timeout=args.cell_timeout,
@@ -814,49 +689,47 @@ def _serve_mode(argv) -> int:
     return 0
 
 
-def _submit_mode(argv) -> int:
+def _client_verb(verb: Callable[..., int]) -> Callable[..., int]:
+    """Run a service client verb as ``verb(parser, args, client)``; a
+    service that is unreachable or refuses the request exits 2."""
+    def run(parser: argparse.ArgumentParser, args) -> int:
+        from .lab import ServiceClient, ServiceError
+
+        try:
+            return verb(parser, args, ServiceClient(args.socket))
+        except ServiceError as err:
+            print(f"service error: {err}", file=sys.stderr)
+            return 2
+    return run
+
+
+@_client_verb
+def _submit_mode(parser: argparse.ArgumentParser, args, client) -> int:
     """Submit specs to a running service; optionally stream them."""
-    from .lab import ServiceClient, ServiceError
-
-    parser = build_submit_parser()
-    args = parser.parse_args(argv)
     specs = _load_specs(parser, args.spec, args.seed)
-    client = ServiceClient(args.socket)
-    try:
-        jobs = []
-        for spec in specs:
-            job = client.submit(spec)
-            print(f"{job}  {spec.name}  ({len(spec.cells())} cell(s))")
-            jobs.append(job)
-        if not args.watch:
-            return 0
-        code = 0
-        for job in jobs:
-            for event in client.watch(job):
-                print(_describe_event(event))
-                if event.kind == "job-done":
-                    code = max(code, _job_exit_code(event))
-        return code
-    except ServiceError as err:
-        print(f"service error: {err}", file=sys.stderr)
-        return 2
+    jobs = []
+    for spec in specs:
+        job = client.submit(spec)
+        print(f"{job}  {spec.name}  ({len(spec.cells())} cell(s))")
+        jobs.append(job)
+    if not args.watch:
+        return 0
+    code = 0
+    for job in jobs:
+        for event in client.watch(job):
+            print(_describe_event(event))
+            if event.kind == "job-done":
+                code = max(code, _job_exit_code(event))
+    return code
 
 
-def _status_mode(argv) -> int:
+@_client_verb
+def _status_mode(_parser: argparse.ArgumentParser, args, client) -> int:
     """Print the running service's job table."""
-    from .lab import ServiceError
-    from .lab.client import ServiceClient
     from .report import print_table
 
-    parser = build_status_parser()
-    args = parser.parse_args(argv)
-    client = ServiceClient(args.socket)
-    try:
-        ping = client.ping()
-        rows = client.status(args.job)
-    except ServiceError as err:
-        print(f"service error: {err}", file=sys.stderr)
-        return 2
+    ping = client.ping()
+    rows = client.status(args.job)
     print_table(
         ["job", "spec", "state", "cells", "completed", "failed"],
         [[row["job"], row["spec"], row["state"], row["cells"],
@@ -866,13 +739,9 @@ def _status_mode(argv) -> int:
     return 0
 
 
-def _watch_mode(argv) -> int:
+@_client_verb
+def _watch_mode(_parser: argparse.ArgumentParser, args, client) -> int:
     """Stream events from the running service."""
-    from .lab import ServiceClient, ServiceError
-
-    parser = build_watch_parser()
-    args = parser.parse_args(argv)
-    client = ServiceClient(args.socket)
     code = 0
     try:
         for event in client.watch(args.job, replay=not args.no_replay):
@@ -882,21 +751,16 @@ def _watch_mode(argv) -> int:
                 print(_describe_event(event), flush=True)
             if args.job is not None and event.kind == "job-done":
                 code = _job_exit_code(event)
-    except ServiceError as err:
-        print(f"service error: {err}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         return 130
     return code
 
 
-def _cancel_mode(argv) -> int:
+@_client_verb
+def _cancel_mode(_parser: argparse.ArgumentParser, args, client) -> int:
     """Cancel running service jobs."""
-    from .lab import ServiceClient, ServiceError
+    from .lab import ServiceError
 
-    parser = build_cancel_parser()
-    args = parser.parse_args(argv)
-    client = ServiceClient(args.socket)
     code = 0
     for job in args.jobs:
         try:
@@ -909,33 +773,8 @@ def _cancel_mode(argv) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "chaos":
-        return _chaos_mode(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _sweep_mode(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_mode(argv[1:])
-    if argv and argv[0] == "submit":
-        return _submit_mode(argv[1:])
-    if argv and argv[0] == "status":
-        return _status_mode(argv[1:])
-    if argv and argv[0] == "watch":
-        return _watch_mode(argv[1:])
-    if argv and argv[0] == "cancel":
-        return _cancel_mode(argv[1:])
-    if argv and argv[0] == "analyze":
-        return _analyze_mode(argv[1:])
-    if argv and argv[0] == "doctor":
-        return _doctor_mode(argv[1:])
-    if argv and argv[0] in ("bench-engine", "bench-analyze"):
-        from .bench import main as bench_main
-        return bench_main(argv[0], argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run_mode(parser: argparse.ArgumentParser, args) -> int:
+    """Compile and simulate one DO loop (or a ``--program``)."""
     bindings = dict(_int_assignment(parser, "--bind", binding)
                     for binding in args.bind)
 
@@ -1019,6 +858,103 @@ def _run_program_mode(loops, args) -> int:
         }, sort_keys=True, indent=1) + "\n")
         print(f"wrote program summary to {args.json}")
     return 0
+
+
+def _bench_mode(command: str, argv) -> int:
+    """``bench-engine`` / ``bench-analyze``: see :func:`repro.bench.main`."""
+    from .bench import main as bench_main
+
+    return bench_main(command, argv)
+
+
+#: every mode by name; the ``None`` entry is the default run mode, used
+#: when the first argument names no other mode
+MODES = {
+    None: Mode(
+        "Compile and simulate a DOACROSS loop "
+        "(Su & Yew, ISCA 1989 reproduction).",
+        _run_options, _run_mode),
+    "chaos": Mode(
+        "Fault-injection sweep: run every synchronization "
+        "scheme under seeded fault plans and verify each "
+        "run either validates or fails with a diagnosed "
+        "structured error.",
+        _chaos_options, _chaos_mode),
+    "sweep": Mode(
+        "Declarative benchmark sweeps: expand preset or JSON sweep "
+        "specs into (app x scheme x machine x seed) cells, serve warm "
+        "cells from the content-addressed cache, fan cold cells over "
+        "a worker pool, and merge versioned records into the --json "
+        "store.",
+        _sweep_options, _sweep_mode),
+    "serve": Mode(
+        "Run the resident sweep service: accept job submissions from "
+        "many concurrent clients over a local unix socket, shard their "
+        "cells across one shared supervised worker pool with fair "
+        "per-job interleaving and in-flight dedup, stream typed "
+        "events, and merge versioned records into the --json store.  "
+        "SIGTERM drains: unfinished jobs are journaled and a restarted "
+        "server resumes them recomputing zero completed cells.",
+        _serve_options, _serve_mode),
+    "submit": Mode(
+        "Submit sweep specs to a running service; prints one job id "
+        "per spec.  Identical cells across jobs (or already in the "
+        "cache) are paid for once, service-wide.",
+        _submit_options, _submit_mode),
+    "status": Mode(
+        "Show the running service's job table (or one job's row).",
+        _status_options, _status_mode),
+    "watch": Mode(
+        "Stream a job's typed events from the running service (or the "
+        "global feed of every job when no JOB is given).",
+        _watch_options, _watch_mode),
+    "cancel": Mode(
+        "Cancel running service jobs.  Landed cells stay cached and "
+        "journaled; only unfinished cells are abandoned.",
+        _cancel_options, _cancel_mode),
+    "analyze": Mode(
+        "Static happens-before analysis of a compiled sync placement: "
+        "prove every dependence arc enforced (or report races with "
+        "witness iterations), detect unsatisfiable waits, run the "
+        "cost-model-guided placement optimizer, and cross-check the "
+        "static verdict with a dynamic vector-clock race sanitizer.",
+        _analyze_options, _analyze_mode),
+    "doctor": Mode(
+        "fsck for the shared experiment store: verify every cache "
+        "entry's checksum and schema versions, reap orphaned in-flight "
+        "tmp files and stale single-flight claims, count torn journal "
+        "lines, and report a typed summary (ok / stale / corrupt / "
+        "orphaned / quarantined).  With --repair, corrupt entries are "
+        "quarantined and stale ones deleted, so the next sweep "
+        "re-simulates exactly the damaged cells.",
+        _doctor_options, _doctor_mode),
+    "bench-engine": Mode(None, None, _bench_mode),
+    "bench-analyze": Mode(None, None, _bench_mode),
+}
+
+
+def build_parser(mode: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser of ``python -m repro [mode]``; ``None`` is
+    the default run mode."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro" + (f" {mode}" if mode else ""),
+        description=MODES[mode].description)
+    MODES[mode].options(parser)
+    return parser
+
+
+def main(argv=None) -> int:
+    """CLI entry point; returns a process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    name = argv[0] if argv and argv[0] in MODES else None
+    if name is not None:
+        argv = argv[1:]
+    mode = MODES[name]
+    if mode.options is None:  # a bench mode parses its own arguments
+        return mode.run(name, argv)
+    parser = build_parser(name)
+    return mode.run(parser, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ machine or a burst of host load moves only one of the two.
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import platform
@@ -329,14 +330,16 @@ def format_entry(entry: Dict[str, Any], title: str = "bench") -> str:
 def main(command: str = "bench-engine",
          argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro bench-engine|bench-analyze``."""
-    from .cli import add_common_options, make_parser, positive
+    from .cli import add_common_options, positive
 
     engine = command == "bench-engine"
-    parser = make_parser(
-        f"repro {command}",
-        ("Measure engine throughput (events/sec) over the preset grids"
-         if engine else "Measure sanitizer throughput (events/sec) and "
-         "optimizer wall-clock") + ", appending to a benchmark trajectory.")
+    parser = argparse.ArgumentParser(
+        prog=f"repro {command}",
+        description=("Measure engine throughput (events/sec) over the "
+                     "preset grids" if engine else
+                     "Measure sanitizer throughput (events/sec) and "
+                     "optimizer wall-clock")
+        + ", appending to a benchmark trajectory.")
     add_common_options(parser)
     if engine:
         parser.add_argument(

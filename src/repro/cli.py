@@ -1,9 +1,9 @@
 """Shared building blocks for every ``python -m repro`` subcommand.
 
-Each mode (the default compile-and-run command, ``chaos``, ``sweep``)
-used to grow its own argparse boilerplate with drifting spellings.
-This module is the single place those parsers are built from, so the
-three IO/parallelism flags mean the same thing everywhere:
+Each mode's parser is built from its entry in
+:data:`repro.__main__.MODES`; the option groups here are shared across
+modes, so the three IO/parallelism flags mean the same thing
+everywhere:
 
 ``--json PATH``
     write the mode's machine-readable results (a JSON document) to PATH
@@ -46,11 +46,6 @@ def positive(kind: Callable[[str], Any] = int, *,
     # argparse names the type in its "invalid <type> value" message
     parse.__name__ = kind.__name__
     return parse
-
-
-def make_parser(prog: str, description: str) -> argparse.ArgumentParser:
-    """A subcommand parser with the repository's house style."""
-    return argparse.ArgumentParser(prog=prog, description=description)
 
 
 def add_common_options(parser: argparse.ArgumentParser, *,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Union)
+                    Sequence)
 
 from ..apps.kernels import fig21_loop
 from ..recovery import RecoveryPolicy
@@ -135,34 +135,40 @@ def run_classified(machine: Machine, instrumented, *,
     return ClassifiedRun(outcome="ok", result=result)
 
 
+def fault_machine_config(plan: FaultPlan, *, recover: bool = False,
+                         **settings: Any) -> MachineConfig:
+    """The machine of every fault-plan run (chaos cases and sweep fault
+    cells alike): ``plan`` injected, the default
+    :class:`~repro.recovery.RecoveryPolicy` when ``recover``, and the
+    engine guards that turn an injected hazard into a diagnosed error.
+    ``settings`` are the remaining :class:`MachineConfig` fields."""
+    return MachineConfig(fault_plan=plan,
+                         recovery=RecoveryPolicy() if recover else None,
+                         max_cycles=FAULT_MAX_CYCLES,
+                         stagnation_limit=FAULT_STAGNATION_LIMIT,
+                         **settings)
+
+
 def run_chaos_case(scheme_name: str, plan: FaultPlan, *,
                    n: int = 16, processors: int = 4,
-                   max_cycles: int = FAULT_MAX_CYCLES,
-                   stagnation_limit: int = FAULT_STAGNATION_LIMIT,
-                   wait_bound: Optional[int] = 100_000,
-                   recover: Union[bool, RecoveryPolicy] = False,
-                   loop=None) -> ChaosOutcome:
+                   recover: bool = False) -> ChaosOutcome:
     """Run one scheme under one fault plan and classify the outcome.
 
-    ``recover`` turns on the recovery layer: ``True`` uses the default
-    :class:`~repro.recovery.RecoveryPolicy`, or pass a policy instance.
-    With recovery, *recoverable* plans (lost broadcasts, dropped RMW
-    commits, deterministic task crashes) must land on ``ok`` with the
-    recovery counters showing what it cost; unrecoverable plans must
-    still die diagnosed, with the attempted recovery actions enumerated
-    in the hazard report.
+    The swept loop is :func:`~repro.apps.kernels.fig21_loop` with trip
+    count ``n``; every wait spins at most 100,000 polls.  ``recover``
+    turns on the recovery layer with the default
+    :class:`~repro.recovery.RecoveryPolicy`.  With recovery,
+    *recoverable* plans (lost broadcasts, dropped RMW commits,
+    deterministic task crashes) must land on ``ok`` with the recovery
+    counters showing what it cost; unrecoverable plans must still die
+    diagnosed, with the attempted recovery actions enumerated in the
+    hazard report.
     """
-    loop = loop if loop is not None else fig21_loop(n=n, cost=8)
-    instrumented = make_scheme(scheme_name).instrument(loop)
-    if wait_bound is not None:
-        instrumented.bound_waits(wait_bound)
-    policy: Optional[RecoveryPolicy] = None
-    if recover:
-        policy = recover if isinstance(recover, RecoveryPolicy) \
-            else RecoveryPolicy()
-    machine = Machine(MachineConfig(
-        processors=processors, fault_plan=plan, max_cycles=max_cycles,
-        stagnation_limit=stagnation_limit, recovery=policy))
+    instrumented = make_scheme(scheme_name).instrument(
+        fig21_loop(n=n, cost=8))
+    instrumented.bound_waits(100_000)
+    machine = Machine(fault_machine_config(plan, recover=recover,
+                                           processors=processors))
     run = run_classified(machine, instrumented)
     outcome = ChaosOutcome(scheme=scheme_name, plan=plan.name or "custom",
                            seed=plan.seed, outcome=run.outcome,
@@ -203,9 +209,7 @@ def run_chaos_sweep(schemes: Optional[Sequence[str]] = None,
     pass through to :func:`run_chaos_case`.  ``procs`` fans the
     independent cells over supervised worker processes (cells are
     seeded and deterministic, so the outcome list is identical at any
-    worker count); with ``procs > 1`` the keyword arguments must be
-    picklable -- in particular, pass a prebuilt ``loop`` only when
-    running serially.  A cell that raises is not retried: the sweep
+    worker count).  A cell that raises is not retried: the sweep
     raises :class:`RuntimeError` naming it.
     """
     from ..lab.executor import SupervisedExecutor

@@ -45,10 +45,9 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from ..compiler.pipeline import compile_loop
-from ..faults.chaos import (FAULT_MAX_CYCLES, FAULT_STAGNATION_LIMIT,
-                            ClassifiedRun, run_classified)
+from ..faults.chaos import (ClassifiedRun, fault_machine_config,
+                            run_classified)
 from ..faults.plan import make_plan
-from ..recovery import RecoveryPolicy
 from ..schemes.registry import make_scheme
 from ..sim import Machine, MachineConfig
 from .apps import build_app
@@ -139,16 +138,14 @@ def _elimination_info(config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
 
 
 def _machine_for(config: Mapping[str, Any]) -> Machine:
-    kwargs: Dict[str, Any] = {}
+    settings = dict(processors=config["processors"],
+                    schedule=config["schedule"],
+                    record_trace=bool(config["validate"]))
     if config.get("plan"):
-        kwargs.update(
-            fault_plan=make_plan(config["plan"], seed=config["seed"]),
-            recovery=RecoveryPolicy() if config.get("recover") else None,
-            max_cycles=FAULT_MAX_CYCLES,
-            stagnation_limit=FAULT_STAGNATION_LIMIT)
-    return Machine(MachineConfig(
-        processors=config["processors"], schedule=config["schedule"],
-        record_trace=bool(config["validate"]), **kwargs))
+        return Machine(fault_machine_config(
+            make_plan(config["plan"], seed=config["seed"]),
+            recover=bool(config.get("recover")), **settings))
+    return Machine(MachineConfig(**settings))
 
 
 def execute_cell(config: Mapping[str, Any],

@@ -28,6 +28,9 @@ from .sync_bus import SyncFabric
 #: shared self-scheduling counter lives at this address (one hot word)
 SCHED_COUNTER: Address = ("__sched__", 0)
 
+#: the iteration-scheduling policies, in ``--schedule`` choice order
+SCHEDULES = ("self", "chunk", "guided", "cyclic", "block")
+
 
 class Workload(ABC):
     """What a synchronization scheme hands to the machine.
@@ -76,7 +79,7 @@ class MachineConfig:
 
     processors: int = 8
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-    #: "self" | "chunk" | "guided" | "cyclic" | "block"
+    #: one of :data:`SCHEDULES`
     schedule: str = "self"
     #: chunk size for schedule="chunk" (Tang & Yew chunked
     #: self-scheduling)
@@ -110,8 +113,7 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.processors < 1:
             raise ValueError("need at least one processor")
-        if self.schedule not in ("self", "chunk", "guided", "cyclic",
-                                 "block"):
+        if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")

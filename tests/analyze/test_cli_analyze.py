@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from repro.__main__ import build_analyze_parser, main
+from repro.__main__ import build_parser, main
 from repro.analyze import ANALYZE_SCHEMA_VERSION, AnalysisReport
 
 
@@ -54,6 +54,24 @@ def test_pair_mode_with_elimination_and_findings_json(tmp_path, capsys):
     assert payload["validation"]["final_state_identical"] is True
 
 
+def test_optimize_json_keeps_the_dynamic_cross_check(tmp_path, capsys):
+    """--json only writes results: with --optimize it must not skip the
+    dynamic cross-check or change the exit code."""
+    argv = ["analyze", "--app", "fig2.1", "--scheme", "statement-oriented",
+            "--optimize"]
+    path = tmp_path / "optimization.json"
+    runs = []
+    for extra in ([], ["--json", str(path)]):
+        code = main(argv + extra)
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("dynamic cross-check")]
+        runs.append((code, verdicts))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 1 and "agrees" in runs[0][1][0]
+    # the JSON is still the optimization report
+    assert json.loads(path.read_text())["dropped"]
+
+
 def test_pair_mode_requires_app_and_scheme(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--app", "fig2.1"])
@@ -90,9 +108,9 @@ def test_param_overrides_the_gate_size(capsys):
 
 
 def test_analyze_parser_has_the_common_trio():
-    args = build_analyze_parser().parse_args([])
+    args = build_parser("analyze").parse_args([])
     assert args.json is None and args.seed == 0 and args.procs == 1
-    args = build_analyze_parser().parse_args(
+    args = build_parser("analyze").parse_args(
         ["--json", "out.json", "--seed", "7", "--procs", "3"])
     assert args.json == pathlib.Path("out.json")
     assert args.seed == 7 and args.procs == 3
