@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.chaos import run_chaos_case
+from repro.faults.chaos import run_chaos_case, run_classified
 from repro.faults.plan import make_plan
 from repro.faults.watchdog import HazardReport, WaitForGraph
-from repro.lab import SweepOptions, SweepSpec, run_sweep
+from repro.lab import SweepOptions, SweepSpec, make_spec, run_sweep
+from repro.lab.apps import build_app
+from repro.lab.record import make_record
 from repro.lab.runner import execute_cell
-from repro.schemes import scheme_names
+from repro.schemes import make_scheme, scheme_names
 from repro.sim import DeadlockError
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, MachineConfig
 
 PLANS = ("lossy-bus", "crash-task", "jitter")
 
@@ -70,3 +72,26 @@ def test_undiagnosed_deadlock_in_chaos_and_sweep(monkeypatch, report):
     assert record["outcome"] == "deadlock-undiagnosed"
     assert record["error"].startswith("stuck without a diagnosis")
     assert set(record["metrics"]) == {"serial_cycles"}
+
+
+@pytest.mark.parametrize(
+    "cell", make_spec("speedup").cells(), ids=lambda cell: cell.key)
+def test_unvalidated_cells_record_the_same_in_both_metrics_modes(cell):
+    """A cell that skips validation reads only end-of-run counters, so a
+    counters-mode machine must seal the same record as a full one."""
+    config = cell.config()
+    assert config["validate"] is False
+    loop = build_app(config["app"], config["app_params"])
+    records = []
+    for metrics in ("full", "counters"):
+        machine = Machine(MachineConfig(processors=config["processors"],
+                                        schedule=config["schedule"],
+                                        metrics=metrics))
+        instrumented = make_scheme(config["scheme"]).instrument(loop)
+        run = run_classified(machine, instrumented, validate=False)
+        records.append(make_record(cell.key, config, outcome=run.outcome,
+                                   result=run.result,
+                                   serial_cycles=loop.serial_cycles()))
+    full, counters = records
+    assert full["outcome"] == "ok"
+    assert full == counters
