@@ -504,8 +504,7 @@ def validate_optimization(loop: Loop, scheme: SyncScheme,
     """
     graph = DependenceGraph(loop)
     machine = Machine(MachineConfig(processors=processors,
-                                    schedule=schedule,
-                                    record_trace=True))
+                                    schedule=schedule))
     before = scheme.instrument(loop, graph)
     run_before = machine.run(before)
     before.validate(run_before)

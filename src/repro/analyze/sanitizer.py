@@ -2,17 +2,12 @@
 
 Runs an instrumented loop on the simulated machine and replays the
 recorded event stream through a happens-before race analysis.  The
-stream is ``(seq, kind, where, task)`` tuples: data accesses (``"R"`` /
-``"W"`` at an address) merged with synchronization events (``"rel"`` /
-``"acq"`` / ``"upd"`` on a sync variable) by their shared issue-order
-``seq`` numbers.  It comes from either
-
-* the lightweight **sync tap** (``RunResult.tap``, recorded by the
-  engine in any metrics mode, including ``"counters"`` where the full
-  trace is off) -- the tap appends at exactly the points the trace
-  recorder allocates ``seq`` numbers, so list index *is* issue order; or
-* the full ``RunResult.trace`` + ``RunResult.sync_trace`` pair, merged
-  and sorted by ``seq`` (the pre-tap path, kept for recorded runs).
+stream is the engine's lightweight **sync tap** (``RunResult.tap``,
+recorded with ``sync_tap=True`` in either metrics mode): data accesses
+(``"R"`` / ``"W"`` at an address) interleaved with synchronization
+events (``"rel"`` / ``"acq"`` / ``"upd"`` on a sync variable) in issue
+order, so list index is the ``seq`` number of each
+``(seq, kind, where, task)`` event.
 
 The engine is a single-threaded discrete-event simulator that commits a
 synchronization write before resuming any waiter it satisfies, so issue
@@ -127,27 +122,17 @@ def _join(into: Dict[str, int], other: Dict[str, int]) -> None:
 
 
 def event_stream(result: RunResult) -> List[Tuple[int, str, Any, str]]:
-    """Merged, harness-filtered ``(seq, kind, where, task)`` stream.
+    """The run's sync tap as a harness-filtered ``(seq, kind, where,
+    task)`` stream.
 
     Filtering (and therefore task-boot order) is decided here, once.
-    Prefers the engine's sync tap when the run carries one -- it is
-    already in issue order and exists even in counters mode; otherwise
-    merges the full trace with the sync trace by ``seq``.
+    Raises :class:`ValueError` on a run recorded without the tap.
     """
-    tap = getattr(result, "tap", None)
-    if tap:
-        return [(seq, kind, where, task)
-                for seq, (kind, where, task) in enumerate(tap)
-                if kind in _SYNC_KINDS or where[0] not in _HARNESS_SPACES]
-    events: List[Tuple[int, str, Any, str]] = []
-    for record in result.trace:
-        if record.addr[0] in _HARNESS_SPACES:
-            continue
-        events.append((record.seq, record.kind, record.addr, record.task))
-    for seq, kind, var, _value, task in result.sync_trace:
-        events.append((seq, kind, var, task))
-    events.sort(key=lambda event: event[0])
-    return events
+    if result.tap is None:
+        raise ValueError("race check needs a run with sync_tap=True")
+    return [(seq, kind, where, task)
+            for seq, (kind, where, task) in enumerate(result.tap)
+            if kind in _SYNC_KINDS or where[0] not in _HARNESS_SPACES]
 
 
 def check_trace(result: RunResult) -> List[RaceEvent]:
@@ -236,7 +221,7 @@ def dynamic_check(instrumented: InstrumentedLoop, *,
     if processors is None:
         processors = max(1, len(instrumented.iterations))
     machine = Machine(MachineConfig(
-        processors=processors, schedule=schedule, record_trace=True,
+        processors=processors, schedule=schedule, sync_tap=True,
         stagnation_limit=_STAGNATION_LIMIT))
     try:
         result = machine.run(instrumented)

@@ -272,12 +272,10 @@ class StatementPipelinedRelaxation(Workload):
 
 
 def run_relaxation(workload, processors: int, schedule: str = "self",
-                   validate: bool = True,
-                   record_trace: bool = True) -> RunResult:
+                   validate: bool = True) -> RunResult:
     """Simulate a relaxation workload and (optionally) check the result."""
     machine = Machine(MachineConfig(processors=processors,
-                                    schedule=schedule,
-                                    record_trace=record_trace))
+                                    schedule=schedule))
     result = machine.run(workload)
     if validate:
         check_solution(workload.n, result)

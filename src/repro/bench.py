@@ -7,8 +7,9 @@ every sweep cell bottoms out in: it expands the named preset grids (the
 same ``repro.lab`` specs the sweeps run), simulates every cell serially,
 and reports **events per second** -- engine events processed divided by
 wall-clock time spent inside ``Machine.run`` -- per preset and metrics
-mode (``full``: ``record_trace=True``, the default everywhere;
-``counters``: the opt-in fast path with only end-of-run counters).
+mode (``MachineConfig.metrics``: ``full``, the default everywhere,
+records the trace; ``counters`` is the fast path with only end-of-run
+counters).
 
 ``bench-analyze`` measures the analysis stack's inner loops: race
 sanitizer throughput (events checked per second) on counters-mode
@@ -115,8 +116,7 @@ def _run_cell(cell: SweepCell, mode: str) -> Tuple[float, int, int]:
     loop = build_app(cell.app, dict(cell.app_params))
     scheme = make_scheme(cell.scheme)
     machine = Machine(MachineConfig(
-        processors=cell.processors, schedule=cell.schedule,
-        record_trace=(mode == "full"), metrics=mode))
+        processors=cell.processors, schedule=cell.schedule, metrics=mode))
     instrumented = scheme.instrument(loop)
     if cell.wait_bound is not None:
         instrumented.bound_waits(cell.wait_bound)
@@ -163,8 +163,6 @@ class _Stream:
     def __init__(self, events: List[Any]) -> None:
         self.tap = [(kind, where, task) for _seq, kind, where, task
                     in events]
-        self.trace: List[Any] = []
-        self.sync_trace: List[Any] = []
 
 
 def _record_stream(n: int) -> _Stream:

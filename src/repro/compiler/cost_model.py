@@ -40,10 +40,6 @@ class CostEstimate:
         return self.sync_ops / n_iterations if n_iterations else 0.0
 
 
-def _enforced_arcs(graph: DependenceGraph, mode: str):
-    return graph.pruned_sync_arcs(mode=mode)
-
-
 def estimate_reference_based(loop: Loop,
                              graph: DependenceGraph) -> CostEstimate:
     """A key per touched element; every access waits and increments."""
@@ -91,7 +87,7 @@ def estimate_statement_oriented(loop: Loop,
     overrides the scheme's own pruning.
     """
     if arcs is None:
-        arcs = _enforced_arcs(graph, "monotonic")
+        arcs = graph.pruned_sync_arcs(mode="monotonic")
     sources = {arc.src for arc in arcs}
     n = loop.n_iterations
     advances = 2 * len(sources) * n           # wait-for-turn + write
@@ -116,7 +112,7 @@ def estimate_process_oriented(loop: Loop, graph: DependenceGraph,
     overrides the scheme's own pruning.
     """
     if arcs is None:
-        arcs = _enforced_arcs(graph, "exact")
+        arcs = graph.pruned_sync_arcs(mode="exact")
     sources = {arc.src for arc in arcs}
     x = n_counters or choose_counters(processors)
     n = loop.n_iterations

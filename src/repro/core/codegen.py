@@ -107,10 +107,7 @@ def build_sync_plan(loop: Loop,
     """
     graph = graph or DependenceGraph(loop)
     if arcs is None:
-        if prune == "none":
-            arcs = graph.sync_arcs()
-        else:
-            arcs = graph.pruned_sync_arcs(mode=prune)
+        arcs = graph.pruned_sync_arcs(mode=prune)
 
     source_sids = [stmt.sid for stmt in loop.body
                    if any(arc.src == stmt.sid for arc in arcs)]

@@ -117,10 +117,15 @@ class DependenceGraph:
                                       item[0][2]))]
 
     def pruned_sync_arcs(self, mode: str = "exact") -> List[SyncArc]:
-        """Sync arcs with covered (redundant) arcs removed."""
-        if mode not in ("exact", "monotonic"):
+        """Sync arcs with covered (redundant) arcs removed.
+
+        ``mode="none"`` removes nothing: every arc is enforced.
+        """
+        if mode not in ("exact", "monotonic", "none"):
             raise ValueError(f"unknown pruning mode {mode!r}")
         arcs = self.sync_arcs()
+        if mode == "none":
+            return arcs
         kept: List[SyncArc] = list(arcs)
         # Greedy elimination, largest distance first: long arcs are the
         # ones composable from short ones (S1->S4 = S1->S3 + S3->S4).

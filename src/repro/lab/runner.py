@@ -45,6 +45,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from ..compiler.pipeline import compile_loop
+from ..depend.model import Loop
 from ..faults.chaos import (ClassifiedRun, fault_machine_config,
                             run_classified)
 from ..faults.plan import make_plan
@@ -94,7 +95,8 @@ class JobCancelled(RuntimeError):
     """
 
 
-def _elimination_info(config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+def _elimination_info(config: Mapping[str, Any],
+                      loop: Loop) -> Optional[Dict[str, Any]]:
     """The cell's redundant-sync column: optimizer counts, as metrics.
 
     Analysis only -- the simulated run keeps the scheme's full
@@ -112,7 +114,6 @@ def _elimination_info(config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
         return None
     from ..analyze import AnalysisError
     from ..analyze.optimize import optimize
-    loop = build_app(config["app"], config["app_params"])
     try:
         report = optimize(loop, make_scheme(config["scheme"]),
                           app=config["app"])
@@ -140,7 +141,7 @@ def _elimination_info(config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
 def _machine_for(config: Mapping[str, Any]) -> Machine:
     settings = dict(processors=config["processors"],
                     schedule=config["schedule"],
-                    record_trace=bool(config["validate"]))
+                    metrics="full" if config["validate"] else "counters")
     if config.get("plan"):
         return Machine(fault_machine_config(
             make_plan(config["plan"], seed=config["seed"]),
@@ -162,7 +163,7 @@ def execute_cell(config: Mapping[str, Any],
     key = key or SweepCell.from_config(config).key
     loop = build_app(config["app"], config["app_params"])
     serial_cycles = loop.serial_cycles()
-    elimination = _elimination_info(config)
+    elimination = _elimination_info(config, loop)
     machine = _machine_for(config)
     compile_info: Optional[Dict[str, Any]] = None
     run = ClassifiedRun(outcome="serial")

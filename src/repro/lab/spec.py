@@ -24,11 +24,17 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..faults.plan import plan_names
 from ..schemes.registry import scheme_names
+from ..sim.machine import SCHEDULES
 from .apps import APP_BUILDERS
 
 #: scheme name meaning "let the compiler pipeline pick"
 AUTO_SCHEME = "auto"
+
+#: the crossed axes of a :class:`SweepSpec` beyond apps and schemes
+_AXES = ("processors", "schedules", "seeds", "wait_bounds", "plans")
+_FLAGS = ("recover", "validate", "eliminate")
 
 
 @dataclass(frozen=True)
@@ -141,25 +147,36 @@ class SweepSpec:
         """Convenience constructor taking plain dicts/lists."""
         frozen_apps = tuple((app, _freeze_params(params))
                             for app, params in apps)
-        for key in ("processors", "schedules", "seeds", "wait_bounds",
-                    "plans"):
+        for key in _AXES:
             if key in axes:
                 axes[key] = tuple(axes[key])
         return SweepSpec(name=name, apps=frozen_apps,
                          schemes=tuple(schemes), **axes)
 
     def __post_init__(self) -> None:
-        for app, _params in self.apps:
-            if app not in APP_BUILDERS:
-                raise ValueError(f"unknown app {app!r} in spec "
-                                 f"{self.name!r}")
-        known = set(scheme_names()) | {AUTO_SCHEME}
-        for scheme in self.schemes:
-            if scheme not in known:
-                raise ValueError(f"unknown scheme {scheme!r} in spec "
-                                 f"{self.name!r}")
+        known = {"app": list(APP_BUILDERS),
+                 "scheme": scheme_names() + [AUTO_SCHEME],
+                 "schedule": list(SCHEDULES),
+                 "plan": plan_names()}
+        named = {"app": [app for app, _params in self.apps],
+                 "scheme": self.schemes, "schedule": self.schedules,
+                 "plan": [plan for plan in self.plans if plan is not None]}
+        for kind, values in named.items():
+            for value in values:
+                if value not in known[kind]:
+                    raise ValueError(
+                        f"unknown {kind} {value!r} in spec {self.name!r}; "
+                        f"known: {', '.join(sorted(known[kind]))}")
         if not self.apps or not self.schemes:
             raise ValueError(f"spec {self.name!r} has an empty grid")
+        for axis in _AXES:
+            if not getattr(self, axis):
+                raise ValueError(f"spec {self.name!r} has an empty "
+                                 f"{axis} axis")
+        for procs in self.processors:
+            if not isinstance(procs, int) or procs < 1:
+                raise ValueError(f"processors {procs!r} in spec "
+                                 f"{self.name!r} must be an integer >= 1")
 
     def cells(self) -> List[SweepCell]:
         """Expand the grid in deterministic (nested-axis) order."""
@@ -210,15 +227,22 @@ class SweepSpec:
     @classmethod
     def from_json(cls, data: Union[str, pathlib.Path, Mapping[str, Any]],
                   ) -> "SweepSpec":
-        """Load a spec from a dict, a JSON string, or a ``.json`` path."""
+        """Load a spec from a dict, a JSON string, or a ``.json`` path.
+
+        Keys outside :meth:`to_json`'s are rejected, so a misspelled
+        axis cannot silently fall back to its default.
+        """
         if isinstance(data, pathlib.Path):
             data = json.loads(data.read_text())
         elif isinstance(data, str):
             data = json.loads(data)
-        axes = {key: data[key] for key in
-                ("processors", "schedules", "seeds", "wait_bounds",
-                 "plans") if key in data}
-        for flag in ("recover", "validate", "eliminate"):
+        keys = ("name", "apps", "schemes") + _AXES + _FLAGS
+        unknown = sorted(set(data) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown spec key(s) {', '.join(unknown)}; "
+                             f"known: {', '.join(keys)}")
+        axes = {key: data[key] for key in _AXES if key in data}
+        for flag in _FLAGS:
             if flag in data:
                 axes[flag] = bool(data[flag])
         return cls.build(data["name"],

@@ -29,7 +29,7 @@ def render_timeline(result: RunResult, width: int = 72,
     activity: List[Tuple[str, str, int, int]] = \
         result.extra.get("activity", [])
     if not activity:
-        return "(no activity recorded: run with record_trace=True)"
+        return '(no activity recorded: run with metrics="full")'
     makespan = max(result.makespan, 1)
     rows: Dict[str, List[str]] = defaultdict(lambda: ["."] * width)
 

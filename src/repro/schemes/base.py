@@ -258,8 +258,8 @@ class InstrumentedLoop(Workload):
         """Check a finished run against the sequential semantics.
 
         Raises :class:`repro.sim.validate.ValidationError` on any
-        divergence.  Requires the run to have been executed with
-        ``record_trace=True``.
+        divergence.  Requires a run with ``metrics="full"`` (the
+        default), which records the access trace.
         """
         expected_final, expected_reads = self.loop.execute_sequential(
             self.initial_memory())
@@ -305,12 +305,12 @@ class SyncScheme(ABC):
         """
         config = config or RunConfig()
         machine = config.machine or Machine(MachineConfig())
+        if config.validate and machine.config.metrics != "full":
+            raise ValueError('validation requires metrics="full"')
         instrumented = self.instrument(loop, config.graph)
         if config.wait_bound is not None:
             instrumented.bound_waits(config.wait_bound)
         result = machine.run(instrumented)
         if config.validate:
-            if not machine.config.record_trace:
-                raise ValueError("validation requires record_trace=True")
             instrumented.validate(result)
         return result

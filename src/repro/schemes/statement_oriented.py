@@ -203,9 +203,6 @@ class StatementOrientedScheme(SyncScheme):
                    ) -> StatementOrientedLoop:
         graph = graph or DependenceGraph(loop)
         if arcs is None:
-            if self.prune == "none":
-                arcs = graph.sync_arcs()
-            else:
-                arcs = graph.pruned_sync_arcs(mode=self.prune)
+            arcs = graph.pruned_sync_arcs(mode=self.prune)
         return StatementOrientedLoop(loop, graph, arcs,
                                      charge_init=self.charge_init)

@@ -315,7 +315,7 @@ class _Poll:
                 task.stats.waits_satisfied_immediately += 1
             else:
                 task.stats.spin += now - self.started
-                if engine.record_trace and now > self.started:
+                if engine.record and now > self.started:
                     engine.activity.append((task.stats.name, "spin",
                                             self.started, now))
             engine._record_sync("acq", op.var,
@@ -350,10 +350,9 @@ class Engine:
     """Interprets process generators against the hardware substrate."""
 
     def __init__(self, memory: SharedMemory, fabric: SyncFabric,
-                 max_cycles: int = 50_000_000, record_trace: bool = True,
+                 max_cycles: int = 50_000_000, record: bool = True,
                  injector=None,
                  stagnation_limit: Optional[int] = None,
-                 collect_events: bool = True,
                  sync_tap: bool = False) -> None:
         if stagnation_limit is not None and stagnation_limit < 1:
             raise ValueError("stagnation_limit must be >= 1 (or None)")
@@ -362,10 +361,9 @@ class Engine:
         fabric.attach(self)
         self.now = 0
         self.max_cycles = max_cycles
-        self.record_trace = record_trace
-        #: collect Annotate markers into :attr:`events`; off in the
-        #: counters-only fast path (``metrics="counters"``)
-        self.collect_events = collect_events
+        #: record the trace, sync trace, activity and Annotate events;
+        #: off in the counters-only fast path (``metrics="counters"``)
+        self.record = record
         #: optional FaultInjector perturbing this run (None = clean)
         self.injector = injector
         #: optional RecoveryManager converting recoverable hazards into
@@ -393,7 +391,7 @@ class Engine:
         #: (time, kind, payload) markers from Annotate ops (phase events)
         self.events: List[Tuple[int, str, dict]] = []
         #: (task, kind, start, end) activity segments for timelines;
-        #: kind is "busy" or "spin"; only recorded when record_trace is on
+        #: kind is "busy" or "spin"; only recorded when ``record`` is on
         self.activity: List[Tuple[str, str, int, int]] = []
         #: calendar queue: absolute time -> (commit list, resume list)
         self._buckets: Dict[int, Tuple[list, list]] = {}
@@ -495,7 +493,7 @@ class Engine:
         if not waiters:
             return
         value = self.fabric.value(var)
-        record = self.record_trace
+        record = self.record
         now = self.now
         wake = None
         for task, op, parked_at in waiters:
@@ -590,7 +588,7 @@ class Engine:
         limit = self.stagnation_limit
         step = self._step
         memory = self.memory
-        record = self.record_trace
+        record = self.record
         trace = self.trace
         while times:
             time = heappop(times)
@@ -785,7 +783,7 @@ class Engine:
             return
         task.stats.busy += cycles
         time = self.now + cycles
-        if self.record_trace:
+        if self.record:
             self.activity.append((task.stats.name, "busy", self.now,
                                   time))
         buckets = self._buckets
@@ -814,7 +812,7 @@ class Engine:
     def _op_annotate(self, task: _Task, op: Annotate) -> None:
         if op.kind == "tag":
             task.tag = op.payload.get("tag")
-        elif self.collect_events:
+        elif self.record:
             self.events.append((self.now, op.kind, dict(op.payload)))
         self._open_resumes.append(task)
 
@@ -850,7 +848,7 @@ class Engine:
     def _record_sync(self, kind: str, var: int, value: Any,
                      task: _Task) -> None:
         """Append one sanitizer event (the tap works in any mode)."""
-        if self.record_trace:
+        if self.record:
             self.sync_trace.append((next(self._sync_seq), kind, var,
                                     value, task.stats.name))
         if self.tap is not None:
@@ -868,7 +866,7 @@ class Engine:
                 # write immediately (one cycle, no memory transaction).
                 value = pending[1]
                 time = self.now + 1
-                if self.record_trace:
+                if self.record:
                     self.trace.append(AccessRecord(
                         commit=time, kind="R", addr=addr,
                         value=value, task=task.stats.name, tag=task.tag,
@@ -891,7 +889,7 @@ class Engine:
         task.wait_state = ("stalled", None,
                            f"memory read round trip to {addr}", now)
         # tag/seq are captured at issue: commits run after tag changes
-        if self.record_trace:
+        if self.record:
             seq = next(self._sync_seq)
         else:
             seq = 0
@@ -917,7 +915,7 @@ class Engine:
         if done > task.last_write_commit:
             task.last_write_commit = done
         # tag/seq are captured at issue: commits run after tag changes
-        if self.record_trace:
+        if self.record:
             seq = next(self._sync_seq)
         else:
             seq = 0
@@ -1136,7 +1134,7 @@ class Engine:
                     task.stats.waits_satisfied_immediately += 1
                 else:
                     task.stats.spin += self.now - started
-                    if self.record_trace and self.now > started:
+                    if self.record and self.now > started:
                         self.activity.append((task.stats.name, "spin",
                                               started, self.now))
                 self._record_sync(

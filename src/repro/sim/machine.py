@@ -84,7 +84,6 @@ class MachineConfig:
     #: chunk size for schedule="chunk" (Tang & Yew chunked
     #: self-scheduling)
     chunk_size: int = 4
-    record_trace: bool = True
     max_cycles: int = 50_000_000
     #: seeded fault plan to inject (None or an empty plan: clean run,
     #: no injector is built and the event sequence is byte-identical)
@@ -99,10 +98,10 @@ class MachineConfig:
     #: diagnosed DeadlockError (catches poll-mode livelocks early);
     #: None disables the stagnation watchdog
     stagnation_limit: Optional[int] = None
-    #: "full" (default): collect the event stream alongside whatever
-    #: record_trace selects.  "counters": opt-in fast path -- only
-    #: end-of-run counters are wanted, so per-event collection (trace,
-    #: activity, events) is skipped entirely; forces record_trace off.
+    #: what a run records.  "full" (default): the access trace, sync
+    #: trace, activity segments and Annotate events, as validation and
+    #: timelines need.  "counters": opt-in fast path -- only end-of-run
+    #: counters, with per-event collection skipped entirely.
     metrics: str = "full"
     #: record the lightweight sanitizer stream (``RunResult.tap``):
     #: (kind, where, task) tuples in issue order, three words per event
@@ -121,8 +120,6 @@ class MachineConfig:
             raise ValueError("stagnation_limit must be >= 1 (or None)")
         if self.metrics not in ("full", "counters"):
             raise ValueError(f"unknown metrics mode {self.metrics!r}")
-        if self.metrics == "counters":
-            self.record_trace = False
 
 
 class Machine:
@@ -176,10 +173,9 @@ class Machine:
             injector = FaultInjector(plan)
         engine = Engine(memory, fabric,
                         max_cycles=self.config.max_cycles,
-                        record_trace=self.config.record_trace,
+                        record=(self.config.metrics == "full"),
                         injector=injector,
                         stagnation_limit=self.config.stagnation_limit,
-                        collect_events=(self.config.metrics != "counters"),
                         sync_tap=self.config.sync_tap)
         recovery = None
         if injector is not None and self.config.recovery is not None:

@@ -100,8 +100,9 @@ class RunResult:
     init_cycles: int
     trace: List[AccessRecord] = field(default_factory=list)
     #: synchronization events (seq, kind, var, value, task) sharing seq
-    #: numbers with ``trace`` -- the race sanitizer's input.  Not part of
-    #: ``summary()``, so records and their schema are unaffected.
+    #: numbers with ``trace`` (full metrics mode only; the race
+    #: sanitizer reads ``tap``).  Not part of ``summary()``, so records
+    #: and their schema are unaffected.
     sync_trace: List[Any] = field(default_factory=list)
     final_memory: Dict[Any, Any] = field(default_factory=dict)
     extra: Dict[str, Any] = field(default_factory=dict)

@@ -17,7 +17,6 @@ from repro.analyze import (apply_mutant, check_trace, dynamic_check,
 from repro.lab.apps import build_app
 from repro.schemes.registry import make_scheme, scheme_names
 from repro.sim import Machine, MachineConfig
-from repro.sim.engine import AccessRecord
 
 from .om_reference import check_result
 
@@ -50,13 +49,8 @@ def test_hand_built_racy_trace_is_flagged(oracle):
     """Two tasks touch one element with no sync edge between them."""
 
     class FakeResult:
-        trace = [
-            AccessRecord(commit=5, kind="W", addr=("A", 1), value=1,
-                         task="p0", tag=None, seq=1),
-            AccessRecord(commit=6, kind="R", addr=("A", 1), value=1,
-                         task="p1", tag=None, seq=2),
-        ]
-        sync_trace = []
+        tap = [("W", ("A", 1), "p0"),
+               ("R", ("A", 1), "p1")]
 
     races = ORACLES[oracle](FakeResult())
     assert len(races) == 1
@@ -70,16 +64,10 @@ def test_release_acquire_chain_suppresses_the_race(oracle):
     """The same access pair, now ordered through a sync variable."""
 
     class FakeResult:
-        trace = [
-            AccessRecord(commit=5, kind="W", addr=("A", 1), value=1,
-                         task="p0", tag=None, seq=1),
-            AccessRecord(commit=9, kind="R", addr=("A", 1), value=1,
-                         task="p1", tag=None, seq=4),
-        ]
-        sync_trace = [
-            (2, "rel", 7, 1, "p0"),
-            (3, "acq", 7, 1, "p1"),
-        ]
+        tap = [("W", ("A", 1), "p0"),
+               ("rel", 7, "p0"),
+               ("acq", 7, "p1"),
+               ("R", ("A", 1), "p1")]
 
     assert ORACLES[oracle](FakeResult()) == []
 
@@ -87,9 +75,10 @@ def test_release_acquire_chain_suppresses_the_race(oracle):
 def test_engine_trace_from_real_run_checks_clean():
     loop = build_app("fig2.1", {"n": 10})
     instrumented = make_scheme("statement-oriented").instrument(loop)
-    machine = Machine(MachineConfig(processors=4, record_trace=True))
+    machine = Machine(MachineConfig(processors=4, sync_tap=True))
     result = machine.run(instrumented)
-    assert result.sync_trace, "engine must record sync events"
+    assert any(kind in ("rel", "acq") for kind, _where, _task
+               in result.tap), "engine must record sync events"
     assert check_trace(result) == []
 
 
@@ -98,7 +87,7 @@ def test_oracles_agree_on_real_runs():
     for scheme_name in scheme_names():
         loop = build_app("example3", {"n": 10})
         instrumented = make_scheme(scheme_name).instrument(loop)
-        machine = Machine(MachineConfig(processors=10, record_trace=True))
+        machine = Machine(MachineConfig(processors=10, sync_tap=True))
         result = machine.run(instrumented)
         assert check_trace(result) == check_result(result)
 

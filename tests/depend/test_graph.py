@@ -37,6 +37,11 @@ def test_pruning_monotonic_at_least_as_aggressive(fig21):
     assert monotonic <= exact
 
 
+def test_pruning_mode_none_keeps_every_arc(fig21):
+    graph = DependenceGraph(fig21)
+    assert graph.pruned_sync_arcs(mode="none") == graph.sync_arcs()
+
+
 def test_pruning_monotonic_uses_smaller_distance_paths():
     """Arc (a, c, 5) with a path a->b->c of distance 2 is covered only in
     monotonic mode (a later source instance implies earlier ones)."""

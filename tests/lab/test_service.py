@@ -217,3 +217,8 @@ def test_socket_round_trip_submit_watch_result_cancel(tmp_path):
             client.status("job-999999")
         with pytest.raises(ServiceError, match="unknown op"):
             client.request({"op": "frobnicate"})
+        # a bad spec is refused at submit, before any job exists
+        bad = dict(n_grid((10,)).to_json(), schedules=["bogus"])
+        with pytest.raises(ServiceError, match="unknown schedule 'bogus'"):
+            client.submit(bad)
+        assert len(client.status()) == 1

@@ -48,6 +48,33 @@ def test_spec_validates_apps_and_schemes():
         SweepSpec.build("bad", apps=[], schemes=scheme_names())
 
 
+def _spec_json(**fields):
+    return dict({"name": "bad", "apps": [["fig2.1", {"n": 8}]],
+                 "schemes": ["process-oriented"]}, **fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"schedule": ["cyclic"]}, "unknown spec key(s) schedule"),
+    ({"procesors": [4]}, "unknown spec key(s) procesors"),
+    ({"processors": []}, "empty processors axis"),
+    ({"schedules": []}, "empty schedules axis"),
+    ({"seeds": []}, "empty seeds axis"),
+    ({"wait_bounds": []}, "empty wait_bounds axis"),
+    ({"plans": []}, "empty plans axis"),
+    ({"processors": [4, 0]}, "processors 0"),
+    ({"processors": [-2]}, "processors -2"),
+    ({"schedules": ["bogus"]}, "unknown schedule 'bogus'"),
+    ({"plans": [None, "nosuch"]}, "unknown plan 'nosuch'"),
+], ids=lambda value: str(value) if isinstance(value, str) else None)
+def test_spec_rejects_bad_outside_input(fields, message):
+    """Spec JSON comes from ``sweep --spec FILE.json`` and service
+    ``submit``: a bad value is named at construction, before any cell
+    runs, instead of falling back to a default or failing per cell."""
+    with pytest.raises(ValueError) as info:
+        SweepSpec.from_json(_spec_json(**fields))
+    assert message in str(info.value)
+
+
 def test_json_round_trip(tmp_path):
     spec = make_spec("smoke")
     assert SweepSpec.from_json(spec.to_json()) == spec

@@ -62,17 +62,14 @@ def test_validate_rejects_corrupted_reads(fig21, machine4):
 
 def test_run_helper_requires_trace_for_validation(fig21):
     scheme = ProcessOrientedScheme(processors=4)
-    # a counters machine records no trace either: validating it raises
-    for config in (MachineConfig(processors=4, record_trace=False),
-                   MachineConfig(processors=4, metrics="counters")):
-        machine = Machine(config)
-        with pytest.raises(ValueError):
-            scheme.run(fig21,
-                       config=RunConfig(machine=machine, validate=True))
-        # but runs fine without validation
-        result = scheme.run(
-            fig21, config=RunConfig(machine=machine, validate=False))
-        assert result.makespan > 0
+    # a counters machine records no trace: validating it raises
+    machine = Machine(MachineConfig(processors=4, metrics="counters"))
+    with pytest.raises(ValueError, match='metrics="full"'):
+        scheme.run(fig21, config=RunConfig(machine=machine, validate=True))
+    # but runs fine without validation
+    result = scheme.run(
+        fig21, config=RunConfig(machine=machine, validate=False))
+    assert result.makespan > 0
 
 
 def test_iterations_are_lpids(nested):

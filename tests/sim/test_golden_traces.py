@@ -157,7 +157,7 @@ def _run_loop_machine(scheme_name: str, stem: str,
     app, params, processors, schedule = LOOPS[stem]
     loop = build_app(app, dict(params))
     machine = Machine(MachineConfig(processors=processors,
-                                    schedule=schedule, record_trace=True,
+                                    schedule=schedule,
                                     stagnation_limit=stagnation_limit))
     result = _make_scheme(scheme_name).run(
         loop, config=RunConfig(machine=machine, validate=False))
@@ -177,7 +177,7 @@ def _run_recovery_case(scheme_name: str, stem: str,
         build_app(app, dict(params)))
     instrumented.bound_waits(100_000)
     machine = Machine(MachineConfig(
-        processors=processors, schedule=schedule, record_trace=True,
+        processors=processors, schedule=schedule,
         fault_plan=make_plan(plan, seed=0), max_cycles=FAULT_MAX_CYCLES,
         stagnation_limit=FAULT_STAGNATION_LIMIT,
         recovery=RecoveryPolicy()))
@@ -193,15 +193,14 @@ def _run_barrier_case(name: str) -> RunResult:
     workload = PhasedWorkload(
         barrier, n_phases=3,
         work=lambda pid, phase: (pid * 7 + phase * 13) % 23 + 5)
-    machine = Machine(MachineConfig(processors=8, schedule="block",
-                                    record_trace=True))
+    machine = Machine(MachineConfig(processors=8, schedule="block"))
     return machine.run(workload)
 
 
 def _run_workload_case(name: str) -> RunResult:
     factory, processors, schedule = WORKLOADS[name]
     machine = Machine(MachineConfig(processors=processors,
-                                    schedule=schedule, record_trace=True))
+                                    schedule=schedule))
     return machine.run(factory())
 
 
@@ -333,8 +332,7 @@ def test_random_configs_full_equals_counters(scheme_name: str,
     scheme = make_scheme(scheme_name)
     full = scheme.run(loop, config=RunConfig(
         machine=Machine(MachineConfig(processors=processors,
-                                      schedule=schedule,
-                                      record_trace=True))))
+                                      schedule=schedule))))
     fast = scheme.run(loop, config=RunConfig(
         machine=Machine(MachineConfig(processors=processors,
                                       schedule=schedule,

@@ -98,8 +98,9 @@ def test_per_processor_stats_reported():
 
 def test_trace_can_be_disabled():
     result = Machine(MachineConfig(processors=2,
-                                   record_trace=False)).run(ToyWorkload(4))
-    assert result.trace == []
+                                   metrics="counters")).run(ToyWorkload(4))
+    assert result.trace == [] and result.sync_trace == []
+    assert result.extra["activity"] == [] and result.extra["events"] == []
     # functional result still correct
     assert result.final_memory[("out", 3)] == 6
 

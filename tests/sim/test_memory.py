@@ -166,7 +166,7 @@ def test_data_bus_saturation_end_to_end():
 
     def makespan(bus, processors):
         machine = Machine(MachineConfig(
-            processors=processors, record_trace=False,
+            processors=processors, metrics="counters",
             memory=MemoryConfig(bus_service=bus)))
         return ProcessOrientedScheme(processors=processors).run(
             loop, config=RunConfig(machine=machine, validate=False)).makespan

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -114,8 +115,6 @@ def test_chaos_mode_smoke(capsys):
 
 
 def test_chaos_mode_recover_writes_json(tmp_path, capsys):
-    import json
-
     out_path = tmp_path / "chaos.json"
     assert main(["chaos", "--seeds", "1", "--n", "8", "--processors", "2",
                  "--schemes", "statement-oriented",
@@ -182,8 +181,6 @@ def test_common_options_uniform_across_modes():
 @pytest.mark.parametrize("mode", ["bench-engine", "bench-analyze"])
 def test_bench_modes_take_the_common_trio(monkeypatch, tmp_path, mode):
     """The bench modes parse their own arguments, trio included."""
-    import json
-
     from repro import bench
 
     monkeypatch.setattr(bench, "engine_cases", lambda *a, **k: {})
@@ -203,16 +200,23 @@ def test_sweep_list(capsys):
         assert preset in out
 
 
-def test_sweep_requires_spec(capsys):
+def test_sweep_requires_spec(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["sweep"])
     assert "--spec" in capsys.readouterr().err
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text(json.dumps({
+        "name": "bad", "apps": [["fig2.1", {"n": 8}]],
+        "schemes": ["process-oriented"], "schedules": ["bogus"]}))
     # a bad spec token or executor budget is a parser error (exit 2)
     for argv, message in [
             (["sweep", "--spec", "nosuch"], "unknown sweep preset"),
             (["sweep", "--spec", "missing.json"], "No such file"),
             (["submit", "--spec", "nosuch"], "unknown sweep preset"),
             (["submit", "--spec", "missing.json"], "No such file"),
+            # a bad value inside a spec file is named before any cell runs
+            (["sweep", "--spec", str(bad_spec), "--no-cache"],
+             "unknown schedule 'bogus'"),
             (["sweep", "--spec", "smoke", "--max-retries", "-1"],
              "--max-retries: must be >= 0"),
             (["sweep", "--spec", "smoke", "--cell-timeout", "-1"],
@@ -242,8 +246,6 @@ def test_bench_rejects_inputs_that_disable_the_gate(capsys):
 
 
 def test_sweep_cold_then_warm(tmp_path, capsys):
-    import json
-
     cache = tmp_path / "cache"
     store = tmp_path / "sweeps.json"
     argv = ["sweep", "--spec", "smoke", "--cache-dir", str(cache),
@@ -271,8 +273,6 @@ def test_sweep_assert_cached_fails_cold(tmp_path, capsys):
 
 
 def test_sweep_spec_file_and_seed_base(tmp_path, capsys):
-    import json
-
     from repro.lab import SweepSpec
 
     spec = SweepSpec.build("filed", apps=[("fig2.1", {"n": 8, "cost": 4})],
@@ -311,8 +311,6 @@ def test_doctor_absent_cache_is_a_clean_no_op(tmp_path, capsys):
 
 
 def test_doctor_inject_diagnose_repair_cycle(tmp_path, capsys):
-    import json
-
     cache = tmp_path / "cache"
     assert main(["sweep", "--spec", "smoke", "--cache-dir",
                  str(cache)]) == 0

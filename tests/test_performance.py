@@ -18,7 +18,7 @@ from repro.sim import Machine, MachineConfig
 
 def test_large_doacross_runs_quickly():
     loop = fig21_loop(n=600)
-    machine = Machine(MachineConfig(processors=16, record_trace=False))
+    machine = Machine(MachineConfig(processors=16, metrics="counters"))
     start = time.perf_counter()
     result = ProcessOrientedScheme(processors=16).run(
         loop, config=RunConfig(machine=machine, validate=False))
@@ -30,8 +30,7 @@ def test_large_doacross_runs_quickly():
 def test_large_relaxation_runs_quickly():
     start = time.perf_counter()
     result = run_relaxation(PipelinedRelaxation(48, group=2),
-                            processors=16, validate=False,
-                            record_trace=False)
+                            processors=16, validate=False)
     elapsed = time.perf_counter() - start
     assert result.makespan > 0
     assert elapsed < 15.0, f"48x48 relaxation took {elapsed:.1f}s"
@@ -40,7 +39,7 @@ def test_large_relaxation_runs_quickly():
 def test_simulation_cost_scales_linearly():
     """Doubling the loop roughly doubles wall time (no superlinear
     blowup in the event queue)."""
-    machine = Machine(MachineConfig(processors=8, record_trace=False))
+    machine = Machine(MachineConfig(processors=8, metrics="counters"))
     scheme = ProcessOrientedScheme(processors=8)
 
     def wall(n):
