@@ -23,14 +23,14 @@ from .mutate import Mutant, apply_mutant, enumerate_mutants, kill_mutant
 from .sanitizer import (DynamicVerdict, check_trace, dynamic_check,
                         event_stream)
 from .optimize import (OPTIMIZE_SCHEMA_VERSION, OptimizationReport,
-                       arc_gate, estimate_cost, optimize, placement_arcs,
+                       arc_gate, estimate_cost, optimize,
                        validate_optimization)
 from .gate import GateResult, gate
 
 __all__ = [
     "ANALYZE_SCHEMA_VERSION", "AnalysisReport", "RaceFinding",
     "DeadlockFinding", "RedundantArc", "AnalysisError", "verify",
-    "verify_instrumented", "arc_gate", "estimate_cost", "placement_arcs",
+    "verify_instrumented", "arc_gate", "estimate_cost",
     "Mutant", "apply_mutant", "enumerate_mutants", "kill_mutant",
     "DynamicVerdict", "check_trace", "dynamic_check", "event_stream",
     "OPTIMIZE_SCHEMA_VERSION", "OptimizationReport", "optimize",

@@ -55,7 +55,7 @@ from .findings import AnalysisReport, RedundantArc
 from .verifier import AnalysisError, verify_instrumented
 
 __all__ = ["ARC_SCHEMES", "OPTIMIZE_SCHEMA_VERSION", "CandidateTrial",
-           "OptimizationReport", "placement_arcs", "estimate_cost",
+           "OptimizationReport", "estimate_cost",
            "arc_gate", "optimize", "validate_optimization"]
 
 #: schemes whose placement is driven by an explicit arc list
@@ -78,13 +78,6 @@ _FOLD_CANDIDATES = (2, 4, 8, 16)
 
 def _arc_key(arc: SyncArc) -> str:
     return f"{arc.src}->{arc.dst} (d={arc.distance})"
-
-
-def placement_arcs(scheme: SyncScheme, instrumented: Any) -> List[SyncArc]:
-    """The arc list an arc-driven scheme actually compiled in."""
-    if scheme.name == "statement-oriented":
-        return list(instrumented.arcs)
-    return list(instrumented.plan.arcs)
 
 
 def estimate_cost(scheme: SyncScheme, loop: Loop, graph: DependenceGraph,
@@ -290,7 +283,7 @@ def _search_config(loop: Loop, graph: DependenceGraph,
             sync_ops=0, predicted_cycles=0.0,
             verdict="rejected:unanalyzable", detail=str(err)))
         return None
-    arcs = placement_arcs(scheme, instrumented)
+    arcs = list(instrumented.arcs)
     report = arc_gate(loop, scheme, graph, arcs, window=window, app=app)
     score = _objective(loop, graph, scheme, arcs, processors)
     if report is None or not report.clean:
@@ -366,7 +359,7 @@ def _farthest_first(loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
     arc stays dropped only if the placement still verifies clean
     without it; a placement that is not clean to begin with keeps all.
     """
-    kept = placement_arcs(scheme, instrumented)
+    kept = list(instrumented.arcs)
     dropped: List[SyncArc] = []
     if not verify_instrumented(instrumented, window=window, app=app,
                                scheme_name=scheme.name).clean:
@@ -384,16 +377,14 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
              graph: Optional[DependenceGraph] = None,
              app: str = "?",
              window: Optional[int] = None,
-             processors: int = 8,
-             dynamic_gate: bool = True) -> OptimizationReport:
+             processors: int = 8) -> OptimizationReport:
     """Search (configuration, fold, arc subset) for the best placement.
 
     The unoptimized input placement is always a member of the search
     space, so the chosen placement is never worse than it under the
     objective; ``baseline`` records what farthest-first elimination
-    would have done instead.  With ``dynamic_gate`` the winning
-    configuration must also survive a sanitized maximally-parallel run
-    before it is admitted.
+    would have done instead.  The winning configuration must also
+    survive a sanitized maximally-parallel run before it is admitted.
     """
     if scheme.name not in ARC_SCHEMES:
         raise AnalysisError(
@@ -415,37 +406,33 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
             f"nothing to optimize")
     candidates.sort(key=lambda c: c["score"])
 
-    if dynamic_gate:
-        from .sanitizer import dynamic_check
-        admitted = None
-        for candidate in candidates:
-            config = candidate["scheme"]
-            instrumented = config.instrument(loop, graph,
-                                             arcs=candidate["kept"])
-            verdict = dynamic_check(instrumented)
-            trial = CandidateTrial(
-                scheme=config.name, fold=candidate["fold"],
-                action="dynamic", arc=None,
-                sync_ops=candidate["score"][0],
-                predicted_cycles=candidate["score"][1],
-                verdict=("accepted" if not verdict.killed
-                         else f"rejected:{verdict.verdict}"),
-                detail=verdict.detail[:200])
-            audit.append(trial)
-            if not verdict.killed:
-                admitted = candidate
-                break
-        if admitted is None:
-            raise AnalysisError(
-                f"{app} x {scheme.name}: every statically-clean "
-                f"candidate was killed by the dynamic oracle")
-        winner = admitted
-    else:
-        winner = candidates[0]
+    from .sanitizer import dynamic_check
+    winner = None
+    for candidate in candidates:
+        config = candidate["scheme"]
+        instrumented = config.instrument(loop, graph,
+                                         arcs=candidate["kept"])
+        verdict = dynamic_check(instrumented)
+        trial = CandidateTrial(
+            scheme=config.name, fold=candidate["fold"],
+            action="dynamic", arc=None,
+            sync_ops=candidate["score"][0],
+            predicted_cycles=candidate["score"][1],
+            verdict=("accepted" if not verdict.killed
+                     else f"rejected:{verdict.verdict}"),
+            detail=verdict.detail[:200])
+        audit.append(trial)
+        if not verdict.killed:
+            winner = candidate
+            break
+    if winner is None:
+        raise AnalysisError(
+            f"{app} x {scheme.name}: every statically-clean "
+            f"candidate was killed by the dynamic oracle")
 
     # Deltas against the *unoptimized* input placement.
     instrumented = scheme.instrument(loop, graph)
-    input_arcs = placement_arcs(scheme, instrumented)
+    input_arcs = list(instrumented.arcs)
     ops_before, cycles_before = _objective(loop, graph, scheme,
                                            input_arcs, processors)
 
@@ -484,7 +471,7 @@ def _rebuild(loop: Loop, graph: DependenceGraph, scheme: SyncScheme,
                   if report.chosen_fold is not None else {})
         chosen = make_scheme(report.chosen_scheme, **kwargs)
     instrumented = chosen.instrument(loop, graph)
-    arcs = [arc for arc in placement_arcs(chosen, instrumented)
+    arcs = [arc for arc in instrumented.arcs
             if _arc_key(arc) in set(report.kept)]
     return chosen.instrument(loop, graph, arcs=arcs)
 

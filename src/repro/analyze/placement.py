@@ -182,7 +182,7 @@ def _improved_pc_context(instrumented: InstrumentedLoop):
     loop they wrap without being ``ProcessOrientedLoop`` instances.
     """
     counters = getattr(instrumented, "counters", None)
-    if (getattr(instrumented, "style", None) == "improved"
+    if (getattr(instrumented.scheme, "style", None) == "improved"
             and counters is not None and counters._vars is not None):
         return counters, set(counters._vars)
     return None, set()

@@ -32,6 +32,10 @@ from .delay import DelayReport, doacross_delay
 #: selection objectives and the estimate field they minimize
 _OBJECTIVES = ("time", "storage", "traffic")
 
+#: with ``serialize_unprofitable``, DOACROSS loops whose predicted
+#: speedup falls below this run serially
+PROFITABILITY_THRESHOLD = 1.2
+
 
 class CompileError(ValueError):
     """The loop cannot be compiled as requested."""
@@ -98,13 +102,12 @@ def compile_loop(loop: Loop, processors: int = 8,
                  objective: str = "time",
                  candidates: Optional[Sequence[str]] = None,
                  force_scheme: Optional[str] = None,
-                 serialize_unprofitable: bool = False,
-                 profitability_threshold: float = 1.2) -> CompileResult:
+                 serialize_unprofitable: bool = False) -> CompileResult:
     """Classify, analyze, choose a scheme, and instrument ``loop``.
 
     With ``serialize_unprofitable`` the pipeline also refuses DOACROSS
     execution whose *predicted* speedup falls below
-    ``profitability_threshold`` -- the paper's "it may not be desirable
+    :data:`PROFITABILITY_THRESHOLD` -- the paper's "it may not be desirable
     to run a loop concurrently" decision, driven by the delay model.
     """
     if objective not in _OBJECTIVES:
@@ -124,14 +127,14 @@ def compile_loop(loop: Loop, processors: int = 8,
     if (serialize_unprofitable and classification.label == DOACROSS
             and force_scheme is None
             and delay.predicted_speedup(loop.n_iterations, processors)
-            < profitability_threshold):
+            < PROFITABILITY_THRESHOLD):
         return CompileResult(
             loop=loop, graph=graph, classification=classification,
             delay=delay, estimates={}, chosen_scheme="serial",
             instrumented=None,
             rationale=(f"predicted speedup "
                        f"{delay.predicted_speedup(loop.n_iterations, processors):.2f}"
-                       f" < {profitability_threshold}: concurrent "
+                       f" < {PROFITABILITY_THRESHOLD}: concurrent "
                        f"execution not worthwhile"))
     estimates = estimate_all(loop, graph, processors=processors)
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..faults.plan import plan_names
 from ..schemes.registry import scheme_names
@@ -35,6 +36,26 @@ AUTO_SCHEME = "auto"
 #: the crossed axes of a :class:`SweepSpec` beyond apps and schemes
 _AXES = ("processors", "schedules", "seeds", "wait_bounds", "plans")
 _FLAGS = ("recover", "validate", "eliminate")
+
+
+def _check_outside_input(where: str, processors: Iterable[Any],
+                         **named: Iterable[Any]) -> None:
+    """Reject unknown app/scheme/schedule/plan names and processor
+    counts below 1 in a grid or cell that came from outside."""
+    known = {"app": list(APP_BUILDERS),
+             "scheme": scheme_names() + [AUTO_SCHEME],
+             "schedule": list(SCHEDULES),
+             "plan": plan_names()}
+    for kind, values in named.items():
+        for value in values:
+            if value not in known[kind]:
+                raise ValueError(
+                    f"unknown {kind} {value!r} in {where}; "
+                    f"known: {', '.join(sorted(known[kind]))}")
+    for procs in processors:
+        if not isinstance(procs, int) or procs < 1:
+            raise ValueError(f"processors {procs!r} in {where} "
+                             f"must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,10 +104,20 @@ class SweepCell:
     def from_config(cls, config: Mapping[str, Any]) -> "SweepCell":
         """Rebuild a cell from its :meth:`config` dict (the inverse).
 
-        How a restarted :class:`~repro.lab.service.SweepService`
-        reconstitutes the cells of a journaled job file.
+        The entry for cell configs from outside: the service's
+        ``{"cells": [...]}`` submissions and the journaled job files a
+        restarted :class:`~repro.lab.service.SweepService` reconstitutes.
+        Unknown keys and names and processors below 1 are rejected with
+        the checks a :class:`SweepSpec` applies.
         """
-        return cls(
+        if not isinstance(config, Mapping):
+            raise ValueError(f"cell config {config!r} must be an object")
+        keys = [field.name for field in fields(cls)]
+        unknown = sorted(set(config) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown cell key(s) {', '.join(unknown)}; "
+                             f"known: {', '.join(keys)}")
+        cell = cls(
             app=config["app"],
             app_params=_freeze_params(config.get("app_params") or {}),
             scheme=config["scheme"],
@@ -99,6 +130,11 @@ class SweepCell:
             recover=bool(config.get("recover", False)),
             eliminate=bool(config.get("eliminate", False)),
         )
+        _check_outside_input(
+            f"cell {cell.key}", [cell.processors], app=[cell.app],
+            scheme=[cell.scheme], schedule=[cell.schedule],
+            plan=[] if cell.plan is None else [cell.plan])
+        return cell
 
     @property
     def key(self) -> str:
@@ -117,6 +153,8 @@ class SweepCell:
 
 
 def _freeze_params(params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
+    if not isinstance(params, Mapping):
+        raise ValueError(f"app params {params!r} must map names to values")
     return tuple(sorted(params.items()))
 
 
@@ -154,29 +192,16 @@ class SweepSpec:
                          schemes=tuple(schemes), **axes)
 
     def __post_init__(self) -> None:
-        known = {"app": list(APP_BUILDERS),
-                 "scheme": scheme_names() + [AUTO_SCHEME],
-                 "schedule": list(SCHEDULES),
-                 "plan": plan_names()}
-        named = {"app": [app for app, _params in self.apps],
-                 "scheme": self.schemes, "schedule": self.schedules,
-                 "plan": [plan for plan in self.plans if plan is not None]}
-        for kind, values in named.items():
-            for value in values:
-                if value not in known[kind]:
-                    raise ValueError(
-                        f"unknown {kind} {value!r} in spec {self.name!r}; "
-                        f"known: {', '.join(sorted(known[kind]))}")
+        where = f"spec {self.name!r}"
+        _check_outside_input(
+            where, self.processors, app=[app for app, _params in self.apps],
+            scheme=self.schemes, schedule=self.schedules,
+            plan=[plan for plan in self.plans if plan is not None])
         if not self.apps or not self.schemes:
-            raise ValueError(f"spec {self.name!r} has an empty grid")
+            raise ValueError(f"{where} has an empty grid")
         for axis in _AXES:
             if not getattr(self, axis):
-                raise ValueError(f"spec {self.name!r} has an empty "
-                                 f"{axis} axis")
-        for procs in self.processors:
-            if not isinstance(procs, int) or procs < 1:
-                raise ValueError(f"processors {procs!r} in spec "
-                                 f"{self.name!r} must be an integer >= 1")
+                raise ValueError(f"{where} has an empty {axis} axis")
 
     def cells(self) -> List[SweepCell]:
         """Expand the grid in deterministic (nested-axis) order."""

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Generator, Iterable, List,
+                    Optional, Sequence)
 
 from ..depend.graph import DependenceGraph
 from ..depend.model import Index, Loop, Statement
 from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.metrics import RunResult
-from ..sim.ops import (Address, Annotate, Compute, MemRead, MemWrite,
-                       WaitUntil)
+from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead,
+                       MemWrite, WaitUntil)
 from ..sim.validate import (check_dependence_instances, check_final_state,
                             check_reads_match_recovered,
                             check_reads_match_sequential, mix)
@@ -140,6 +141,28 @@ def execute_statement(loop: Loop, stmt: Statement, index: Index,
 #: immutable to the engine, so one shared instance serves all of them
 _CLEAR_TAG = Annotate("tag", {"tag": None})
 
+#: the one fence every scheme yields before publishing a signal
+_FENCE = Fence()
+
+#: workers the memory-resident schemes split their initialization over
+INIT_WORKERS = 8
+
+
+def split_init(items: Sequence[Any],
+               emit: Callable[[Any], Iterable]) -> List[Generator]:
+    """Initialization prologue split round-robin over the init workers.
+
+    Item ``k`` goes to worker ``k mod INIT_WORKERS`` and each worker
+    emits its items' ops in sequence order; there are as many workers as
+    items, at most :data:`INIT_WORKERS` and at least one.
+    """
+    def init(worker: int) -> Generator:
+        for item in items[worker::INIT_WORKERS]:
+            yield from emit(item)
+
+    return [init(worker)
+            for worker in range(min(INIT_WORKERS, max(1, len(items))))]
+
 
 def bound_waits(process: Generator, max_spin: int) -> Generator:
     """Give every unbounded wait a spin budget (bounded-wait option).
@@ -169,6 +192,12 @@ class InstrumentedLoop(Workload):
     A :class:`repro.sim.machine.Workload` that adds scheme metadata
     (synchronization-variable counts) plus :meth:`validate`, which checks
     a run against sequential semantics.
+
+    Every scheme's loop shares one skeleton: its settings live on
+    ``self.scheme`` (the factory that built it), :meth:`_compile` turns
+    one iteration into a precompiled program, and :meth:`_body` walks
+    that program -- from the top for a clean run, or past the signals a
+    journalled checkpoint names for a crash replay.
     """
 
     #: True when the scheme renames storage (instance-based): final-state
@@ -183,7 +212,9 @@ class InstrumentedLoop(Workload):
     #: no-fault event stream byte-identical (zero-overhead pin).
     checkpoints_enabled: bool = False
 
-    def __init__(self, loop: Loop, graph: DependenceGraph) -> None:
+    def __init__(self, scheme: SyncScheme, loop: Loop,
+                 graph: DependenceGraph) -> None:
+        self.scheme = scheme
         self.loop = loop
         self.graph = graph
         self.iterations: Sequence[int] = [
@@ -191,34 +222,48 @@ class InstrumentedLoop(Workload):
         #: memory contents present before the loop runs (set by callers
         #: chaining loops into programs; see repro.compiler.program)
         self.seed_memory: Dict[Address, Any] = {}
+        self._programs: Dict[int, Any] = {}
+
+    @abstractmethod
+    def _compile(self, pid: int) -> Any:
+        """Compile iteration ``pid``'s program, walked by :meth:`_body`."""
+
+    @abstractmethod
+    def _body(self, pid: int, checkpoint: Optional[dict] = None
+              ) -> Generator:
+        """Walk ``pid``'s program, resuming after ``checkpoint`` if given."""
 
     def recompile(self) -> None:
-        """Rebuild precompiled op streams from the loop's current state.
+        """Rebuild the precompiled programs from the loop's current state.
 
         Schemes compile their op streams once at instrument time, and
         clean runs and crash replay both walk them, so mutating scheme
         state afterwards (sabotage tests, ablations that rewrite the
         sync plan or the arcs) has no effect on either until this is
-        called.  Default: nothing precompiled.
+        called.
         """
+        self._programs = {pid: self._compile(pid)
+                          for pid in self.iterations}
 
-    def enable_checkpoints(self) -> None:
-        """Turn on checkpoint emission for crash recovery (see base attr)."""
-        self.checkpoints_enabled = True
+    def make_process(self, iteration: int) -> Generator:
+        return self._body(iteration)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
         """Replay an iteration from a journalled checkpoint.
 
         Called by the recovery layer when a crashed task's unfinished
-        iteration is rescheduled onto a survivor.  The default replays
-        from the top (``checkpoint`` ignored): sound for any scheme
-        whose signal ops are idempotent under re-execution, but schemes
-        override this to skip already-signalled statements so
-        non-idempotent signals (key increments, consuming reads) are
-        never re-issued.
+        iteration is rescheduled onto a survivor.  Without a checkpoint
+        the iteration replays from the top; with one, each scheme's
+        :meth:`_body` skips the signals already issued so non-idempotent
+        ones (key increments, consuming reads, Advances) are never
+        re-issued.
         """
-        return self.make_process(iteration)
+        return self._body(iteration, checkpoint)
+
+    def enable_checkpoints(self) -> None:
+        """Turn on checkpoint emission for crash recovery (see base attr)."""
+        self.checkpoints_enabled = True
 
     def bound_waits(self, max_spin: int) -> None:
         """Bound every wait this loop emits (see :func:`bound_waits`)."""

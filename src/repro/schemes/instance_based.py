@@ -20,23 +20,20 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
+from ..sim.ops import (Address, Annotate, Compute, MemRead, MemWrite,
                        SyncWrite, WaitUntil)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
-from .base import InstrumentedLoop, SyncScheme
+from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
+                   split_init)
 
 #: renamed instances live in this pseudo-array
 INSTANCE_SPACE = "__inst__"
-
-#: shared immutable ops for the compiled streams
-_FENCE = Fence()
-_CLEAR_TAG = Annotate("tag", {"tag": None})
 
 
 @dataclass
@@ -127,14 +124,9 @@ class InstanceBasedLoop(InstrumentedLoop):
 
     renames_storage = True
 
-    def __init__(self, loop: Loop, graph: DependenceGraph,
-                 poll_interval: int, init_workers: int, consume: bool,
-                 charge_init: bool) -> None:
-        super().__init__(loop, graph)
-        self.poll_interval = poll_interval
-        self.init_workers = init_workers
-        self.consume = consume
-        self.charge_init = charge_init
+    def __init__(self, scheme: InstanceBasedScheme, loop: Loop,
+                 graph: DependenceGraph) -> None:
+        super().__init__(scheme, loop, graph)
         self.instances, self.reads_of, self.writes_of = rename(loop)
         self.initial_instances = [i for i in self.instances
                                   if i.writer is None]
@@ -146,13 +138,7 @@ class InstanceBasedLoop(InstrumentedLoop):
             n_bits = len(instance.copies)
             instance.bits = list(range(cursor, cursor + n_bits))
             cursor += n_bits
-        self._programs: dict = {}
         self.recompile()
-
-    def recompile(self) -> None:
-        """Rebuild the per-iteration op streams (after table mutation)."""
-        self._programs = {pid: self._compile(pid)
-                          for pid in self.iterations}
 
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s op stream, walked by :meth:`_body`.
@@ -162,6 +148,7 @@ class InstanceBasedLoop(InstrumentedLoop):
         triples and ``writes`` holds ``(copy_addrs, bit_ops)`` pairs.
         """
         index = self.loop.index_of_lpid(pid)
+        consume = self.scheme.consume
         program = []
         for stmt in self.loop.body:
             if not stmt.executes_at(index):
@@ -176,7 +163,7 @@ class InstanceBasedLoop(InstrumentedLoop):
                               reason=f"full {instance.base_addr}"
                                      f"v{instance.version}"),
                     MemRead(instance.copies[binding.copy_index]),
-                    SyncWrite(bit, 0) if self.consume else None))
+                    SyncWrite(bit, 0) if consume else None))
             writes = []
             for instance_id in self.writes_of.get(tag, ()):
                 instance = self.instances[instance_id]
@@ -191,8 +178,7 @@ class InstanceBasedLoop(InstrumentedLoop):
         return program
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
-        fabric = MemorySyncFabric(memory, poll_interval=self.poll_interval,
-                                  space="__fe__")
+        fabric = MemorySyncFabric(memory, space="__fe__")
         for instance in self.instances:
             # empty unless the instance pre-exists the loop
             initial = 1 if instance.writer is None else 0
@@ -204,22 +190,18 @@ class InstanceBasedLoop(InstrumentedLoop):
 
     def prologue(self) -> List[Generator]:
         """Materialize pre-loop values as full version-0 instances."""
-        if not self.charge_init:
+        if not self.scheme.charge_init:
             return []
         initial_values = self.initial_memory()
 
-        def init(worker: int) -> Generator:
-            for position, instance in enumerate(self.initial_instances):
-                if position % self.init_workers != worker:
-                    continue
-                value = initial_values.get(instance.base_addr)
-                for copy_addr, bit in zip(instance.copies, instance.bits):
-                    if value is not None:
-                        yield MemWrite(copy_addr, value)
-                    yield SyncWrite(bit, 1)
+        def materialize(instance: Instance) -> Generator:
+            value = initial_values.get(instance.base_addr)
+            for copy_addr, bit in zip(instance.copies, instance.bits):
+                if value is not None:
+                    yield MemWrite(copy_addr, value)
+                yield SyncWrite(bit, 1)
 
-        workers = min(self.init_workers, max(1, len(self.initial_instances)))
-        return [init(worker) for worker in range(workers)]
+        return split_init(self.initial_instances, materialize)
 
     @property
     def sync_vars(self) -> int:
@@ -249,32 +231,22 @@ class InstanceBasedLoop(InstrumentedLoop):
         """Words of renamed data storage (the renaming overhead)."""
         return sum(len(instance.copies) for instance in self.instances)
 
-    def make_process(self, pid: int) -> Generator:
-        return self._body(pid)
+    def _body(self, pid: int,
+              checkpoint: Optional[dict] = None) -> Generator:
+        """Walk ``pid``'s compiled program; with checkpoints on, every
+        consume and each statement's last publish journal the progress.
 
-    def make_replay_process(self, iteration: int,
-                            checkpoint: Optional[dict] = None) -> Generator:
-        """Resume an iteration without re-consuming emptied bits.
-
-        Consuming reads are the scheme's non-idempotent signals: each
-        carries a checkpoint, so replay substitutes journalled values
-        for reads already consumed.  Publishes re-execute in full --
+        Consuming reads are the scheme's non-idempotent signals, so a
+        replay from ``checkpoint`` substitutes journalled values for the
+        reads already consumed.  Publishes re-execute in full --
         single-assignment makes rewriting copies and re-filling bits
         idempotent (each copy has exactly one reader, which already got
         its value if the bit was consumed).
         """
-        if checkpoint is None:
-            return self._body(iteration)
-        return self._body(iteration, skip_stmt=checkpoint["stmt"],
-                          skip_acc=checkpoint["acc"],
-                          journaled=checkpoint["values"])
-
-    def _body(self, pid: int, skip_stmt: int = 0, skip_acc: int = 0,
-              journaled: Sequence[Any] = ()) -> Generator:
-        """Walk ``pid``'s compiled program from statement ``skip_stmt``,
-        whose first ``skip_acc`` reads already consumed their bits; with
-        checkpoints on, every consume and each statement's last publish
-        journal that progress."""
+        skip_stmt, skip_acc, journaled = (
+            (0, 0, ()) if checkpoint is None
+            else (checkpoint["stmt"], checkpoint["acc"],
+                  checkpoint["values"]))
         checkpoints = self.checkpoints_enabled
         for stmt_pos, (tag_op, reads, compute_op, sid,
                        writes) in enumerate(self._programs[pid]):
@@ -322,10 +294,8 @@ class InstanceBasedScheme(SyncScheme):
     name = "instance-based"
     supports_variable_index = True
 
-    def __init__(self, poll_interval: int = 4, init_workers: int = 8,
-                 consume: bool = True, charge_init: bool = True) -> None:
-        self.poll_interval = poll_interval
-        self.init_workers = init_workers
+    def __init__(self, consume: bool = True,
+                 charge_init: bool = True) -> None:
         self.consume = consume
         self.charge_init = charge_init
 
@@ -333,8 +303,4 @@ class InstanceBasedScheme(SyncScheme):
                    graph: Optional[DependenceGraph] = None
                    ) -> InstanceBasedLoop:
         graph = graph or DependenceGraph(loop)
-        return InstanceBasedLoop(loop, graph,
-                                 poll_interval=self.poll_interval,
-                                 init_workers=self.init_workers,
-                                 consume=self.consume,
-                                 charge_init=self.charge_init)
+        return InstanceBasedLoop(self, loop, graph)

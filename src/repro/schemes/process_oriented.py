@@ -30,58 +30,43 @@ from ..core.process_counter import ProcessCounterFile, pc_at_least
 from ..depend.graph import DependenceGraph, SyncArc
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import Fence, MemWrite, SyncWrite, WaitUntil
+from ..sim.ops import MemWrite, SyncWrite, WaitUntil
 from ..sim.cache_fabric import CachedSyncFabric
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import mix
-from .base import (_CLEAR_TAG, InstrumentedLoop, SyncScheme,
+from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
                    compile_statement)
-
-_FENCE = Fence()
 
 
 class ProcessOrientedLoop(InstrumentedLoop):
     """A loop synchronized with process counters."""
 
-    def __init__(self, loop: Loop, graph: DependenceGraph, plan: SyncPlan,
-                 n_counters: int, style: str, split_fields: bool,
-                 split_order: str, eager_branch_marks: bool,
-                 coverage: bool, charge_init: bool,
-                 fabric_kwargs: Optional[dict] = None,
-                 fabric: str = "broadcast") -> None:
-        super().__init__(loop, graph)
+    def __init__(self, scheme: ProcessOrientedScheme, loop: Loop,
+                 graph: DependenceGraph, plan: SyncPlan) -> None:
+        super().__init__(scheme, loop, graph)
         self.plan = plan
-        self.style = style
-        self.eager_branch_marks = eager_branch_marks
-        self.coverage = coverage
-        self.charge_init = charge_init
-        self.fabric_kwargs = dict(fabric_kwargs or {})
-        if fabric not in ("broadcast", "cached"):
-            raise ValueError(f"unknown fabric {fabric!r}")
-        self.fabric_kind = fabric
         self.counters = ProcessCounterFile(
-            n_counters=n_counters, first_pid=1,
-            split_fields=split_fields, split_order=split_order)
-        self._fabric: Optional[SyncFabric] = None
-        #: per-pid compiled frames: the counters are allocated first on
-        #: a fresh fabric, so their variable ids (slot order from 0) are
-        #: known here (asserted in build_fabric) and every static piece
-        #: of the op stream -- wait ops, guard outcomes, statement
-        #: instances -- compiles once at instrument time.
-        self._frames: dict = {}
+            n_counters=scheme.n_counters, first_pid=1,
+            split_fields=scheme.split_fields,
+            split_order=scheme.split_order)
+        #: the counters are allocated first on a fresh fabric, so their
+        #: variable ids (slot order from 0) are known here (asserted in
+        #: build_fabric) and every static piece of the op stream -- wait
+        #: ops, guard outcomes, statement instances -- compiles once at
+        #: instrument time.
         self.recompile()
 
-    def recompile(self) -> None:
-        """Rebuild the per-iteration frames (after plan mutation)."""
-        self._frames = {pid: self._compile_frames(pid)
-                        for pid in self.iterations}
+    @property
+    def arcs(self) -> List[SyncArc]:
+        """The arcs the sync plan was compiled from."""
+        return self.plan.arcs
 
-    def _compile_frames(self, pid: int) -> list:
+    def _compile(self, pid: int) -> list:
         """``(waits, executed, compiled, stmt_plan)`` per plan statement."""
         index = self.loop.index_of_lpid(pid)
         first_pid = self.counters.first_pid
         n = self.counters.n_counters
-        frames = []
+        program = []
         for stmt_plan in self.plan.statements:
             stmt = self.loop.statement(stmt_plan.sid)
             waits = []
@@ -97,22 +82,22 @@ class ProcessOrientedLoop(InstrumentedLoop):
             executed = stmt.executes_at(index)
             compiled = (compile_statement(self.loop, stmt, index, pid)
                         if executed else None)
-            frames.append((tuple(waits), executed, compiled, stmt_plan))
-        return frames
+            program.append((tuple(waits), executed, compiled, stmt_plan))
+        return program
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
-        if self.fabric_kind == "cached":
+        scheme = self.scheme
+        if scheme.fabric == "cached":
             # section 6's coherent-cache option: PCs as cacheable
             # memory words with write-invalidate coherence
             fabric: SyncFabric = CachedSyncFabric(memory,
-                                                  **self.fabric_kwargs)
+                                                  **scheme.fabric_kwargs)
         else:
-            fabric = BroadcastSyncFabric(coverage=self.coverage,
-                                         **self.fabric_kwargs)
+            fabric = BroadcastSyncFabric(coverage=scheme.coverage,
+                                         **scheme.fabric_kwargs)
         self.counters.allocate(fabric)
         assert self.counters._vars == range(0, self.counters.n_counters), \
             "fabric allocation drifted from the compiled wait ops"
-        self._fabric = fabric
         return fabric
 
     @property
@@ -127,7 +112,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
         next to initializing one key per array element; charging it makes
         the comparison honest.  A DOALL needs no counters at all.
         """
-        if not self.charge_init or not self.needs_counters:
+        if not self.scheme.charge_init or not self.needs_counters:
             return []
 
         def init() -> Generator:
@@ -141,15 +126,20 @@ class ProcessOrientedLoop(InstrumentedLoop):
     def sync_vars(self) -> int:
         return self.counters.n_counters if self.needs_counters else 0
 
-    def make_process(self, iteration: int) -> Generator:
-        return self._body(iteration)
+    # ------------------------------------------------------------------
+    # emission, one generator per iteration
+    # ------------------------------------------------------------------
 
-    def make_replay_process(self, iteration: int,
-                            checkpoint: Optional[dict] = None) -> Generator:
-        """Resume an iteration past its already-published PC updates.
+    def _body(self, pid: int,
+              checkpoint: Optional[dict] = None) -> Generator:
+        """One iteration's op stream in either primitive style.
 
-        Each counter write carries a checkpoint naming the next plan
-        position plus the ownership state (``acquired``/``owned``,
+        Waits, data ops, fences and the step cursor are the same for
+        both styles; ``style`` picks only how a source signals.
+
+        A replay resumes past the iteration's already-published PC
+        updates: each counter write carries a checkpoint naming the next
+        plan position plus the ownership state (``acquired``/``owned``,
         ``last_step``).  Replay walks the plan from the top so the step
         cursor is recomputed deterministically, but emits nothing for
         positions before the journalled one: their data ops committed
@@ -157,34 +147,22 @@ class ProcessOrientedLoop(InstrumentedLoop):
         marks there are signed off by the journalled (higher) step or by
         the final transfer, exactly as in lazy-mark mode.
         """
-        return self._body(iteration, restore=checkpoint)
-
-    # ------------------------------------------------------------------
-    # emission, one generator per iteration
-    # ------------------------------------------------------------------
-
-    def _body(self, pid: int, restore: Optional[dict] = None) -> Generator:
-        """One iteration's op stream in either primitive style.
-
-        Waits, data ops, fences and the step cursor are the same for
-        both styles; ``style`` picks only how a source signals.
-        """
-        basic = self.style == "basic"
+        basic = self.scheme.style == "basic"
         checkpoints = self.checkpoints_enabled
         cursor = StepCursor(self.plan.n_sources,
-                            eager=self.eager_branch_marks)
+                            eager=self.scheme.eager_branch_marks)
         # basic: whether get_PC has run.  improved: load_index -- myPC
         # and the owned flag live in processor registers.
         acquired = False
         primitives = ImprovedPrimitives(self.counters, pid)
         skip_stmt = 0
-        if restore:
-            skip_stmt = restore["stmt"]
-            acquired = bool(restore.get("acquired"))
-            primitives.owned = bool(restore.get("owned"))
-            primitives.last_step = restore.get("last_step", 0)
+        if checkpoint:
+            skip_stmt = checkpoint["stmt"]
+            acquired = bool(checkpoint.get("acquired"))
+            primitives.owned = bool(checkpoint.get("owned"))
+            primitives.last_step = checkpoint.get("last_step", 0)
         for stmt_pos, (waits, executed, compiled,
-                       stmt_plan) in enumerate(self._frames[pid]):
+                       stmt_plan) in enumerate(self._programs[pid]):
             replay_skip = stmt_pos < skip_stmt
             if not replay_skip:
                 for op in waits:
@@ -219,14 +197,14 @@ class ProcessOrientedLoop(InstrumentedLoop):
                 step = cursor.published
             elif step is None:
                 continue
-            checkpoint = None
+            payload = None
             if checkpoints:
-                checkpoint = {"iter": pid, "stmt": stmt_pos + 1}
+                payload = {"iter": pid, "stmt": stmt_pos + 1}
                 if basic:
-                    checkpoint["acquired"] = True
+                    payload["acquired"] = True
                 else:
-                    checkpoint["owned"] = True
-                    checkpoint["last_step"] = step
+                    payload["owned"] = True
+                    payload["last_step"] = step
             if basic:
                 if not acquired:
                     yield from get_pc(self.counters, pid)
@@ -234,15 +212,15 @@ class ProcessOrientedLoop(InstrumentedLoop):
                 if last:
                     yield from release_pc(self.counters, pid,
                                           current_step=step,
-                                          checkpoint=checkpoint)
+                                          checkpoint=payload)
                 else:
                     yield from set_pc(self.counters, pid, step,
-                                      checkpoint=checkpoint)
+                                      checkpoint=payload)
             elif last:
                 primitives.last_step = step
-                yield from primitives.transfer_pc(checkpoint=checkpoint)
+                yield from primitives.transfer_pc(checkpoint=payload)
             else:
-                yield from primitives.mark_pc(step, checkpoint=checkpoint)
+                yield from primitives.mark_pc(step, checkpoint=payload)
 
 
 class ProcessOrientedScheme(SyncScheme):
@@ -312,10 +290,4 @@ class ProcessOrientedScheme(SyncScheme):
                    ) -> ProcessOrientedLoop:
         graph = graph or DependenceGraph(loop)
         plan = build_sync_plan(loop, graph, prune=self.prune, arcs=arcs)
-        return ProcessOrientedLoop(
-            loop, graph, plan,
-            n_counters=self.n_counters, style=self.style,
-            split_fields=self.split_fields, split_order=self.split_order,
-            eager_branch_marks=self.eager_branch_marks,
-            coverage=self.coverage, charge_init=self.charge_init,
-            fabric_kwargs=self.fabric_kwargs, fabric=self.fabric)
+        return ProcessOrientedLoop(self, loop, graph, plan)

@@ -25,16 +25,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
+from ..sim.ops import (Address, Annotate, Compute, MemRead, MemWrite,
                        SyncUpdate, SyncWrite, WaitUntil, at_least, increment)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
-from .base import InstrumentedLoop, SyncScheme
+from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
+                   split_init)
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,6 @@ class KeyedAccess:
     threshold: int   # wait until key >= threshold
     ordinal: int     # this access's position in the element's sequence
 
-
-#: shared immutable ops for the compiled streams
-_FENCE = Fence()
-_CLEAR_TAG = Annotate("tag", {"tag": None})
 
 
 def plan_accesses(loop: Loop) -> Dict[Tuple[str, int], List[KeyedAccess]]:
@@ -89,13 +86,9 @@ def plan_accesses(loop: Loop) -> Dict[Tuple[str, int], List[KeyedAccess]]:
 class ReferenceBasedLoop(InstrumentedLoop):
     """A loop synchronized with per-element access-order keys."""
 
-    def __init__(self, loop: Loop, graph: DependenceGraph,
-                 poll_interval: int, init_workers: int,
-                 charge_init: bool) -> None:
-        super().__init__(loop, graph)
-        self.poll_interval = poll_interval
-        self.init_workers = init_workers
-        self.charge_init = charge_init
+    def __init__(self, scheme: ReferenceBasedScheme, loop: Loop,
+                 graph: DependenceGraph) -> None:
+        super().__init__(scheme, loop, graph)
         self.plan = plan_accesses(loop)
         self.elements: List[Address] = sorted(
             {access.addr for accesses in self.plan.values()
@@ -105,13 +98,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
         #: in build_fabric); the op stream compiles here once.
         self._key_of: Dict[Address, int] = {
             addr: key for key, addr in enumerate(self.elements)}
-        self._programs: Dict[int, list] = {}
         self.recompile()
-
-    def recompile(self) -> None:
-        """Rebuild the per-iteration op streams (after plan mutation)."""
-        self._programs = {pid: self._compile(pid)
-                          for pid in self.iterations}
 
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s op stream, walked by :meth:`_body`.
@@ -146,7 +133,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
         return program
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
-        fabric = MemorySyncFabric(memory, poll_interval=self.poll_interval)
+        fabric = MemorySyncFabric(memory)
         for addr in self.elements:
             key = fabric.alloc(1, init=0)[0]
             assert key == self._key_of[addr], "fabric allocation drifted"
@@ -154,45 +141,30 @@ class ReferenceBasedLoop(InstrumentedLoop):
 
     def prologue(self) -> List[Generator]:
         """Zero every key through the memory system, split over workers."""
-        if not self.charge_init:
+        if not self.scheme.charge_init:
             return []
-
-        def init(worker: int) -> Generator:
-            for position, addr in enumerate(self.elements):
-                if position % self.init_workers == worker:
-                    yield SyncWrite(self._key_of[addr], 0)
-
-        return [init(worker) for worker in range(
-            min(self.init_workers, max(1, len(self.elements))))]
+        return split_init(self.elements,
+                          lambda addr: (SyncWrite(self._key_of[addr], 0),))
 
     @property
     def sync_vars(self) -> int:
         return len(self.elements)
 
-    def make_process(self, pid: int) -> Generator:
-        return self._body(pid)
+    def _body(self, pid: int,
+              checkpoint: Optional[dict] = None) -> Generator:
+        """Walk ``pid``'s compiled program; with checkpoints on, every
+        key increment journals its progress.
 
-    def make_replay_process(self, iteration: int,
-                            checkpoint: Optional[dict] = None) -> Generator:
-        """Resume an iteration from its last journalled key increment.
-
-        The checkpoint names the executed-statement index, the number of
+        A checkpoint names the executed-statement index, the number of
         keyed accesses whose increments landed, and the read values seen
-        so far.  Accesses before that point are skipped (their
-        non-idempotent key increments must not re-issue); journalled
-        read values are substituted so the re-computed mix matches.
+        so far.  A replay skips the accesses before that point (their
+        non-idempotent key increments must not re-issue) and substitutes
+        the journalled read values so the re-computed mix matches.
         """
-        if checkpoint is None:
-            return self._body(iteration)
-        return self._body(iteration, skip_stmt=checkpoint["stmt"],
-                          skip_acc=checkpoint["acc"],
-                          journaled=checkpoint["values"])
-
-    def _body(self, pid: int, skip_stmt: int = 0, skip_acc: int = 0,
-              journaled: Sequence[Any] = ()) -> Generator:
-        """Walk ``pid``'s compiled program from statement ``skip_stmt``,
-        whose first ``skip_acc`` accesses already signalled; with
-        checkpoints on, every key increment journals that progress."""
+        skip_stmt, skip_acc, journaled = (
+            (0, 0, ()) if checkpoint is None
+            else (checkpoint["stmt"], checkpoint["acc"],
+                  checkpoint["values"]))
         checkpoints = self.checkpoints_enabled
         for stmt_pos, (tag_op, reads, compute_op, sid,
                        writes) in enumerate(self._programs[pid]):
@@ -237,17 +209,11 @@ class ReferenceBasedScheme(SyncScheme):
     name = "reference-based"
     supports_variable_index = True
 
-    def __init__(self, poll_interval: int = 4, init_workers: int = 8,
-                 charge_init: bool = True) -> None:
-        self.poll_interval = poll_interval
-        self.init_workers = init_workers
+    def __init__(self, charge_init: bool = True) -> None:
         self.charge_init = charge_init
 
     def instrument(self, loop: Loop,
                    graph: Optional[DependenceGraph] = None
                    ) -> ReferenceBasedLoop:
         graph = graph or DependenceGraph(loop)
-        return ReferenceBasedLoop(loop, graph,
-                                  poll_interval=self.poll_interval,
-                                  init_workers=self.init_workers,
-                                  charge_init=self.charge_init)
+        return ReferenceBasedLoop(self, loop, graph)

@@ -28,24 +28,20 @@ from typing import Any, Dict, Generator, List, Optional
 from ..depend.graph import DependenceGraph, SyncArc
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import Fence, MemWrite, SyncWrite, WaitUntil, at_least
+from ..sim.ops import MemWrite, SyncWrite, WaitUntil, at_least
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import mix
-from .base import (_CLEAR_TAG, InstrumentedLoop, SyncScheme,
+from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
                    compile_statement)
-
-
-_FENCE = Fence()
 
 
 class StatementOrientedLoop(InstrumentedLoop):
     """A loop synchronized with per-statement counters."""
 
-    def __init__(self, loop: Loop, graph: DependenceGraph,
-                 arcs: List[SyncArc], charge_init: bool) -> None:
-        super().__init__(loop, graph)
+    def __init__(self, scheme: StatementOrientedScheme, loop: Loop,
+                 graph: DependenceGraph, arcs: List[SyncArc]) -> None:
+        super().__init__(scheme, loop, graph)
         self.arcs = arcs
-        self.charge_init = charge_init
         self.source_sids: List[str] = [
             stmt.sid for stmt in loop.body
             if any(arc.src == stmt.sid for arc in arcs)]
@@ -56,13 +52,7 @@ class StatementOrientedLoop(InstrumentedLoop):
         self._sc_vars: Dict[str, int] = {
             sid: var for var, sid in enumerate(self.source_sids)}
         self._first_pid = 1
-        self._programs: Dict[int, list] = {}
         self.recompile()
-
-    def recompile(self) -> None:
-        """Rebuild the per-iteration op streams (after arc mutation)."""
-        self._programs = {pid: self._compile(pid)
-                          for pid in self.iterations}
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         fabric = BroadcastSyncFabric()
@@ -73,7 +63,7 @@ class StatementOrientedLoop(InstrumentedLoop):
         return fabric
 
     def prologue(self) -> List[Generator]:
-        if not self.charge_init or not self.source_sids:
+        if not self.scheme.charge_init or not self.source_sids:
             return []
 
         def init() -> Generator:
@@ -120,31 +110,22 @@ class StatementOrientedLoop(InstrumentedLoop):
             program.append((awaits, compiled, advance))
         return program
 
-    def make_process(self, pid: int) -> Generator:
-        return self._body(pid)
-
-    def make_replay_process(self, iteration: int,
-                            checkpoint: Optional[dict] = None) -> Generator:
-        """Resume an iteration past its already-Advanced statements.
+    def _body(self, pid: int,
+              checkpoint: Optional[dict] = None) -> Generator:
+        """Walk ``pid``'s compiled program; with checkpoints on, every
+        Advance journals the next body position.
 
         An Advance is the scheme's non-idempotent signal (it transfers
         the counter from ``pid-1`` to ``pid`` exactly once in the
-        chain), so each carries a checkpoint naming the next body
-        position.  Positions before it are skipped entirely on replay;
-        the rest re-execute, which is safe because an un-Advanced
-        statement's successors are still blocked on the counter.
-        """
-        skip = 0 if checkpoint is None else checkpoint["stmt"]
-        return self._body(iteration, skip_stmt=skip)
-
-    def _body(self, pid: int, skip_stmt: int = 0) -> Generator:
-        """Walk ``pid``'s compiled program from body position
-        ``skip_stmt``; with checkpoints on, every Advance journals the
-        next position.
+        chain), so a replay from ``checkpoint`` skips every position
+        before the journalled one entirely; the rest re-execute, which
+        is safe because an un-Advanced statement's successors are still
+        blocked on the counter.
 
         The statement body inlines ``CompiledStatement.stream`` (same op
         sequence) to spare the ``yield from`` frame hop per op.
         """
+        skip_stmt = 0 if checkpoint is None else checkpoint["stmt"]
         checkpoints = self.checkpoints_enabled
         for stmt_pos, (awaits, compiled,
                        advance) in enumerate(self._programs[pid]):
@@ -204,5 +185,4 @@ class StatementOrientedScheme(SyncScheme):
         graph = graph or DependenceGraph(loop)
         if arcs is None:
             arcs = graph.pruned_sync_arcs(mode=self.prune)
-        return StatementOrientedLoop(loop, graph, arcs,
-                                     charge_init=self.charge_init)
+        return StatementOrientedLoop(self, loop, graph, arcs)

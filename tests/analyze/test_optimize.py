@@ -16,7 +16,7 @@ from repro.analyze import AnalysisError, dynamic_check
 from repro.analyze.gate import GATE_PARAMS
 from repro.analyze.optimize import (OPTIMIZE_SCHEMA_VERSION,
                                     OptimizationReport, optimize,
-                                    placement_arcs, validate_optimization)
+                                    validate_optimization)
 from repro.depend.graph import DependenceGraph
 from repro.lab.apps import build_app
 from repro.schemes.registry import make_scheme
@@ -167,7 +167,7 @@ def test_baseline_slim_placement_is_dynamically_race_free():
     dropped = set(optimize(loop, scheme, app="fig2.1").baseline["dropped"])
     assert dropped
     graph = DependenceGraph(loop)
-    kept = [arc for arc in placement_arcs(scheme, scheme.instrument(loop))
+    kept = [arc for arc in scheme.instrument(loop).arcs
             if _arc_key(arc) not in dropped]
     slim = scheme.instrument(loop, graph, arcs=kept)
     for schedule in ("self", "cyclic", "block"):

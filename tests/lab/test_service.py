@@ -221,4 +221,8 @@ def test_socket_round_trip_submit_watch_result_cancel(tmp_path):
         bad = dict(n_grid((10,)).to_json(), schedules=["bogus"])
         with pytest.raises(ServiceError, match="unknown schedule 'bogus'"):
             client.submit(bad)
+        # ...and so is a bad bare cell list
+        cell = dict(n_grid((10,)).cells()[0].config(), plan="nope")
+        with pytest.raises(ServiceError, match="unknown plan 'nope'"):
+            client.submit({"cells": [cell]})
         assert len(client.status()) == 1

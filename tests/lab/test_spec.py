@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.lab import (SweepOptions, SweepSpec, make_spec, run_sweep,
-                       sweep_presets)
+from repro.lab import (SweepCell, SweepOptions, SweepSpec, make_spec,
+                       run_sweep, sweep_presets)
 from repro.lab.apps import app_names, build_app
 from repro.schemes import scheme_names
 
@@ -65,6 +65,7 @@ def _spec_json(**fields):
     ({"processors": [-2]}, "processors -2"),
     ({"schedules": ["bogus"]}, "unknown schedule 'bogus'"),
     ({"plans": [None, "nosuch"]}, "unknown plan 'nosuch'"),
+    ({"apps": [["fig2.1", [8]]]}, "app params [8] must map"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_spec_rejects_bad_outside_input(fields, message):
     """Spec JSON comes from ``sweep --spec FILE.json`` and service
@@ -73,6 +74,37 @@ def test_spec_rejects_bad_outside_input(fields, message):
     with pytest.raises(ValueError) as info:
         SweepSpec.from_json(_spec_json(**fields))
     assert message in str(info.value)
+
+
+def _cell_config(**fields):
+    return dict({"app": "fig2.1", "app_params": {"n": 8},
+                 "scheme": "process-oriented", "processors": 4}, **fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"procesors": 4}, "unknown cell key(s) procesors"),
+    ({"sched": "cyclic"}, "unknown cell key(s) sched"),
+    ({"processors": 0}, "processors 0"),
+    ({"processors": -1}, "processors -1"),
+    ({"app": "nope"}, "unknown app 'nope'"),
+    ({"scheme": "nope"}, "unknown scheme 'nope'"),
+    ({"schedule": "bogus"}, "unknown schedule 'bogus'"),
+    ({"plan": "nope"}, "unknown plan 'nope'"),
+    ({"app_params": [8]}, "app params [8] must map"),
+], ids=lambda value: str(value) if isinstance(value, str) else None)
+def test_cell_config_rejects_bad_outside_input(fields, message):
+    """Cell configs come from service ``{"cells": [...]}`` submissions
+    and journaled job files: a bad one is refused when it is read, with
+    the checks a spec applies, not inside a worker."""
+    with pytest.raises(ValueError) as info:
+        SweepCell.from_config(_cell_config(**fields))
+    assert message in str(info.value)
+
+
+def test_cell_config_must_be_an_object():
+    for config in ("fig2.1", ["app", "fig2.1"]):
+        with pytest.raises(ValueError, match="must be an object"):
+            SweepCell.from_config(config)
 
 
 def test_json_round_trip(tmp_path):
