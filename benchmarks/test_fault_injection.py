@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from repro.apps.kernels import fig21_loop
 from repro.faults import FaultPlan
-from repro.faults.chaos import (ACCEPTABLE_OUTCOMES, run_chaos_sweep,
-                                summarize)
+from repro.faults.chaos import (ACCEPTABLE_OUTCOMES, fault_machine_config,
+                                run_classified)
+from repro.lab import SweepOptions, SweepSpec, run_sweep
 from repro.recovery import RecoveryPolicy
 from repro.report import print_table
 from repro.schemes import make_scheme, scheme_names
@@ -48,46 +49,74 @@ RECOVERABLE = ["lossy-bus", "flaky-rmw", "crash-task"]
 RECOVERY_SEEDS = range(5)
 
 
-def run_sweep():
-    return run_chaos_sweep(schemes=scheme_names(), plans=PLANS,
-                           seeds=SEEDS, n=N, processors=P)
+def fault_records(plans, seeds, recover=False):
+    """Every scheme under ``plans`` x ``seeds`` as one fault-plan sweep
+    (the grid ``python -m repro chaos`` builds); records in grid order,
+    merged into no store."""
+    spec = SweepSpec.build(
+        "fault-injection", apps=[("fig2.1", {"n": N, "cost": 8})],
+        schemes=scheme_names(), processors=(P,), wait_bounds=(100_000,),
+        plans=plans, seeds=seeds, recover=recover)
+    return run_sweep(spec, SweepOptions(cache_dir=None)).records
 
 
-def run_recovery_sweep():
-    return run_chaos_sweep(schemes=scheme_names(), plans=RECOVERABLE,
-                           seeds=RECOVERY_SEEDS, n=N, processors=P,
-                           recover=True)
+def run_chaos_grid():
+    return fault_records(PLANS, SEEDS)
+
+
+def run_recovery_grid():
+    return fault_records(RECOVERABLE, RECOVERY_SEEDS, recover=True)
+
+
+def _case(record):
+    config = record["config"]
+    return f"{config['scheme']}/{config['plan']}/seed{config['seed']}"
+
+
+def _events(counters):
+    """Total actions in a counter dict (cycle sums excluded)."""
+    return sum(count for key, count in counters.items()
+               if not key.endswith("_cycles"))
 
 
 def test_chaos_sweep_degrades_gracefully(once):
-    outcomes = once(run_sweep)
-    assert len(outcomes) == 4 * len(PLANS) * len(SEEDS)
+    records = once(run_chaos_grid)
+    assert len(records) == 4 * len(PLANS) * len(SEEDS)
 
-    bad = [o for o in outcomes if not o.acceptable]
+    bad = [r for r in records if r["outcome"] not in ACCEPTABLE_OUTCOMES]
     assert not bad, "degradation contract violated: " + "; ".join(
-        f"{o.scheme}/{o.plan}/seed{o.seed}: {o.outcome} ({o.detail})"
-        for o in bad)
+        f"{_case(r)}: {r['outcome']} ({r.get('error')})" for r in bad)
 
     # timing-only faults are legal executions: they must all validate
-    for o in outcomes:
-        if o.plan in TIMING_ONLY:
-            assert o.outcome == "ok", (o.plan, o.scheme, o.seed, o.detail)
+    for r in records:
+        if r["config"]["plan"] in TIMING_ONLY:
+            assert r["outcome"] == "ok", (_case(r), r.get("error"))
 
     # every diagnosed failure names at least one blocked task, and every
     # cycle-carrying diagnosis names tasks that are actually blocked
-    for o in outcomes:
-        if o.outcome.endswith("-diagnosed"):
-            assert o.blocked_tasks, (o.scheme, o.plan, o.seed)
-        if o.cycle:
-            assert set(o.cycle) <= set(o.blocked_tasks)
+    for r in records:
+        hazard = r.get("hazard") or {}
+        if r["outcome"].endswith("-diagnosed"):
+            assert hazard.get("blocked"), _case(r)
+        if hazard.get("cycle"):
+            assert set(hazard["cycle"]) <= set(hazard["blocked"])
 
-    histogram = summarize(outcomes)
+    histogram: dict = {}
+    for r in records:
+        histogram[r["outcome"]] = histogram.get(r["outcome"], 0) + 1
     assert set(histogram) <= set(ACCEPTABLE_OUTCOMES)
+    rows = []
+    for r in records:
+        config, metrics = r["config"], r["metrics"] or {}
+        cycle = (r.get("hazard") or {}).get("cycle")
+        detail = (" -> ".join(cycle) if cycle
+                  else r.get("error", f"makespan {metrics.get('makespan')}"))
+        rows.append([config["scheme"], config["plan"], config["seed"],
+                     r["outcome"], _events(metrics.get("faults", {})),
+                     detail[:44]])
     print_table(
         ["scheme", "plan", "seed", "outcome", "fault events", "detail"],
-        [[o.scheme, o.plan, o.seed, o.outcome, o.fault_events,
-          (" -> ".join(o.cycle) if o.cycle else o.detail)[:44]]
-         for o in outcomes],
+        rows,
         title=f"Chaos sweep: 4 schemes x {len(PLANS)} plans x "
               f"{len(SEEDS)} seeds, Fig 2.1 loop, N={N}, P={P} -- "
               + ", ".join(f"{k}={v}" for k, v in sorted(histogram.items())))
@@ -97,19 +126,19 @@ def test_recovery_contract_completes_every_recoverable_run(once):
     """Recovery on + recoverable plan => every run completes validated,
     and every plan shows aggregate recovery activity (memory-fabric
     schemes see no broadcasts, so the bound is per plan, not per run)."""
-    outcomes = once(run_recovery_sweep)
-    assert len(outcomes) == 4 * len(RECOVERABLE) * len(RECOVERY_SEEDS)
+    records = once(run_recovery_grid)
+    assert len(records) == 4 * len(RECOVERABLE) * len(RECOVERY_SEEDS)
 
-    bad = [o for o in outcomes if o.outcome != "ok"]
+    bad = [r for r in records if r["outcome"] != "ok"]
     assert not bad, "recovery contract violated: " + "; ".join(
-        f"{o.scheme}/{o.plan}/seed{o.seed}: {o.outcome} ({o.detail})"
-        for o in bad)
+        f"{_case(r)}: {r['outcome']} ({r.get('error')})" for r in bad)
 
     per_plan = {plan: 0 for plan in RECOVERABLE}
     totals: dict = {}
-    for o in outcomes:
-        per_plan[o.plan] += o.recovery_events
-        for key, count in o.recovery.items():
+    for r in records:
+        counters = r["metrics"].get("recovery", {})
+        per_plan[r["config"]["plan"]] += _events(counters)
+        for key, count in counters.items():
             totals[key] = totals.get(key, 0) + count
     for plan, events in per_plan.items():
         assert events > 0, f"plan {plan} exercised no recovery at all"
@@ -120,8 +149,9 @@ def test_recovery_contract_completes_every_recoverable_run(once):
 
     print_table(
         ["scheme", "plan", "seed", "outcome", "recovery events"],
-        [[o.scheme, o.plan, o.seed, o.outcome, o.recovery_events]
-         for o in outcomes],
+        [[r["config"]["scheme"], r["config"]["plan"], r["config"]["seed"],
+          r["outcome"], _events(r["metrics"].get("recovery", {}))]
+         for r in records],
         title=f"Recovery contract: 4 schemes x {len(RECOVERABLE)} "
               f"recoverable plans x {len(RECOVERY_SEEDS)} seeds, all "
               "validated -- "
@@ -133,15 +163,16 @@ def test_sustained_loss_flips_to_degraded_fallback():
     """A very lossy bus must push a broadcast-fabric scheme into
     shared-memory polling of the home copy (and back out), and the run
     must still validate."""
-    from repro.faults.chaos import run_chaos_case
-
-    outcome = run_chaos_case(
-        "statement-oriented",
+    instrumented = make_scheme("statement-oriented").instrument(
+        fig21_loop(n=N, cost=8))
+    instrumented.bound_waits(100_000)
+    machine = Machine(fault_machine_config(
         FaultPlan(name="very-lossy", seed=0, broadcast_loss=0.5),
-        n=N, processors=P, recover=True)
-    assert outcome.outcome == "ok", outcome.detail
-    assert outcome.recovery["fallback_epochs"] >= 1
-    assert outcome.recovery["fallback_polls"] > 0
+        recover=True, processors=P))
+    run = run_classified(machine, instrumented)
+    assert run.outcome == "ok", run.error
+    assert run.result.recovery["fallback_epochs"] >= 1
+    assert run.result.recovery["fallback_polls"] > 0
 
 
 def run_identity_check():

@@ -34,7 +34,8 @@ Packages
 ``repro.apps``
     The paper's worked examples as runnable workloads.
 ``repro.faults``
-    Deterministic fault injection, hazard diagnosis, chaos harness.
+    Deterministic fault injection, hazard diagnosis, the degradation
+    contract (``python -m repro chaos``).
 ``repro.lab``
     Declarative experiment engine: sweep specs, a parallel cached
     runner, versioned run records (``python -m repro sweep``).

@@ -52,7 +52,7 @@ from .cli import (add_cache_options, add_common_options,
 from .compiler import compile_loop, run_program
 from .frontend import parse_loop, parse_program
 from .report import render_timeline
-from .schemes import scheme_names
+from .schemes import make_scheme, scheme_names
 from .sim import Machine, MachineConfig
 from .sim.machine import SCHEDULES
 
@@ -381,6 +381,14 @@ def _load_specs(parser: argparse.ArgumentParser, tokens, seed: int):
     return specs
 
 
+def _print_quarantined(failures, why: str) -> None:
+    """The DEGRADED block of a sweep that quarantined cells."""
+    print(f"\nDEGRADED: {len(failures)} cell(s) {why} and were "
+          "quarantined:")
+    for failure in failures:
+        print(f"  {failure.describe()}")
+
+
 def _sweep_mode(parser: argparse.ArgumentParser, args) -> int:
     """Run declarative sweeps and print per-cell rows + cache stats."""
     from .lab import (DEFAULT_CACHE_DIR, ExecutorChaos, ResultCache,
@@ -475,7 +483,10 @@ def _sweep_mode(parser: argparse.ArgumentParser, args) -> int:
     else:
         print(f"cache: disabled, {misses} cell(s) simulated")
     if args.json is not None:
-        merge_records(args.json, records)
+        try:
+            merge_records(args.json, records)
+        except ValueError as err:  # landed cells stay cached
+            parser.error(str(err))
         print(f"merged {len(records)} record(s) into {args.json}")
     if args.failures_json is not None:
         args.failures_json.write_text(json.dumps({
@@ -484,11 +495,8 @@ def _sweep_mode(parser: argparse.ArgumentParser, args) -> int:
         }, sort_keys=True, indent=1) + "\n")
         print(f"wrote {len(failures)} failure(s) to {args.failures_json}")
     if failures:
-        print(f"\nDEGRADED: {len(failures)} cell(s) exhausted their "
-              f"retry budget ({args.max_retries} retrie(s)) and were "
-              "quarantined:")
-        for failure in failures:
-            print(f"  {failure.describe()}")
+        _print_quarantined(failures, f"exhausted their retry budget "
+                                     f"({args.max_retries} retrie(s))")
         return 3
     if args.assert_cached and misses:
         print(f"--assert-cached: FAILED, {misses} cell(s) re-simulated")
@@ -497,60 +505,83 @@ def _sweep_mode(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _chaos_mode(parser: argparse.ArgumentParser, args) -> int:
-    """Run the chaos sweep and print the outcome table."""
-    from .faults.chaos import (ACCEPTABLE_OUTCOMES, run_chaos_sweep,
-                               summarize)
-    from .faults.plan import plan_names
+    """Sweep fault plans as one grid and check the degradation contract."""
+    from .faults.chaos import ACCEPTABLE_OUTCOMES
+    from .faults.plan import make_plan, plan_names
+    from .lab import SweepOptions, SweepSpec, run_sweep
     from .report import print_table
 
     schemes = (scheme_names() if args.schemes == "all"
                else args.schemes.split(","))
     plans = plan_names() if args.plans == "all" else args.plans.split(",")
-    seeds = range(args.seed, args.seed + args.seeds)
-
     try:
-        outcomes = run_chaos_sweep(schemes=schemes, plans=plans,
-                                   seeds=seeds, procs=args.procs,
-                                   n=args.n, processors=args.processors,
-                                   recover=args.recover)
-    except ValueError as err:  # an unknown --schemes/--plans name
+        # a typo fails here, listing the known names, before any cell runs
+        for name in schemes:
+            make_scheme(name)
+        for name in plans:
+            make_plan(name)
+    except ValueError as err:
+        parser.error(str(err))
+    spec = SweepSpec.build(
+        "chaos", apps=[("fig2.1", {"n": args.n, "cost": 8})],
+        schemes=schemes, processors=(args.processors,),
+        seeds=range(args.seed, args.seed + args.seeds),
+        wait_bounds=(100_000,), plans=plans, recover=args.recover)
+    try:
+        report = run_sweep(spec, SweepOptions(
+            procs=args.procs, cache_dir=None, max_retries=0,
+            json_path=args.json))
+    except ValueError as err:  # a --json store that cannot be merged
         parser.error(str(err))
     rows = []
-    for o in outcomes:
-        note = o.detail
-        if o.cycle:
-            note = f"cycle: {' -> '.join(o.cycle)}"
-        rows.append([o.scheme, o.plan, o.seed, o.outcome, note[:48]])
+    histogram: dict = {}
+    totals: dict = {}
+    for record in report.records:
+        config, outcome = record["config"], record["outcome"]
+        metrics = record["metrics"] or {}
+        hazard = record.get("hazard") or {}
+        note = record.get("error", "")
+        if outcome == "ok":
+            note = f"makespan {metrics['makespan']}"
+        if hazard.get("cycle"):
+            note = f"cycle: {' -> '.join(hazard['cycle'])}"
+        rows.append([config["scheme"], config["plan"], config["seed"],
+                     outcome, note[:48]])
+        histogram[outcome] = histogram.get(outcome, 0) + 1
+        # a run that died keeps its counters in the hazard report
+        for key, count in (hazard or metrics).get("recovery", {}).items():
+            totals[key] = totals.get(key, 0) + count
     print_table(
         ["scheme", "plan", "seed", "outcome", "detail"], rows,
         title=f"chaos sweep: {len(schemes)} scheme(s) x {len(plans)} "
               f"plan(s) x {args.seeds} seed(s) on {args.processors} "
               f"processors" + (" [recovery on]" if args.recover else ""))
-    histogram = summarize(outcomes)
     print("\noutcomes: " + ", ".join(
         f"{name}={count}" for name, count in sorted(histogram.items())))
     if args.recover:
-        totals: dict = {}
-        for o in outcomes:
-            for key, count in o.recovery.items():
-                totals[key] = totals.get(key, 0) + count
         active = {key: count for key, count in sorted(totals.items())
                   if count}
         print("recovery totals: " + (", ".join(
             f"{name}={count}" for name, count in active.items())
             if active else "none"))
     if args.json is not None:
-        args.json.write_text(json.dumps(
-            [o.to_json() for o in outcomes], indent=2) + "\n")
-        print(f"wrote {len(outcomes)} per-run records to {args.json}")
-    bad = [o for o in outcomes if not o.acceptable]
+        print(f"merged {len(report.records)} record(s) into {args.json}")
+    bad = [record for record in report.records
+           if record["outcome"] not in ACCEPTABLE_OUTCOMES]
     if bad:
         print(f"\nDEGRADATION CONTRACT VIOLATED by {len(bad)} run(s) "
               f"(allowed: {', '.join(ACCEPTABLE_OUTCOMES)}):")
-        for o in bad:
-            print(f"  {o.scheme} / {o.plan} / seed {o.seed}: "
-                  f"{o.outcome} -- {o.detail}")
+        for record in bad:
+            config = record["config"]
+            print(f"  {config['scheme']} / {config['plan']} / seed "
+                  f"{config['seed']}: {record['outcome']} -- "
+                  f"{record.get('error', '')}")
+    if report.failed:
+        _print_quarantined(report.failed, "raised")
+    if bad:
         return 1
+    if report.failed:
+        return 3
     print("degradation contract holds: every run validated or died "
           "with a diagnosed structured error")
     return 0

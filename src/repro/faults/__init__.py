@@ -24,11 +24,12 @@ Three layers:
     :class:`WaitForGraph` from a (possibly stuck) engine and extracts the
     blocking cycle into a :class:`HazardReport`.
 
-The chaos harness (:mod:`repro.faults.chaos`, also ``python -m repro
-chaos``) sweeps plans x schemes x seeds and asserts every run either
-validates against sequential semantics or fails with a diagnosed
-structured error -- never a hang, never silent corruption.  It is
-imported on demand (not here) because it depends on the scheme registry.
+:mod:`repro.faults.chaos` states the degradation contract -- every
+run either validates against sequential semantics or fails with a
+diagnosed structured error, never a hang, never silent corruption --
+and holds the run-and-classify step every sweep cell uses.  ``python
+-m repro chaos`` sweeps plans x schemes x seeds as a
+:class:`~repro.lab.spec.SweepSpec` and checks each record against it.
 
 With no plan installed (the default) none of the hooks draw randomness or
 schedule events: simulations replay the exact pre-fault event sequence.

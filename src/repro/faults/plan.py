@@ -154,8 +154,8 @@ class FaultPlan:
         return f"{label}(seed={self.seed}): {body}"
 
 
-#: named fault mixes the chaos harness sweeps by default ("none" is the
-#: zero-overhead control and excluded from plan_names())
+#: named fault mixes ``python -m repro chaos`` sweeps by default ("none"
+#: is the zero-overhead control and excluded from plan_names())
 _PRESETS: Dict[str, Dict] = {
     "none": {},
     # pure timing noise: legal under any correct scheme, so every run

@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 from ..sim.metrics import EXTRA_SCHEMA_VERSION, RunResult
+
+if TYPE_CHECKING:
+    from ..faults.watchdog import HazardReport
 
 #: bump when the record layout below changes shape
 RECORD_SCHEMA_VERSION = 1
@@ -46,12 +49,17 @@ def make_record(key: str, config: Mapping[str, Any], *,
                 compile_info: Optional[Mapping[str, Any]] = None,
                 error: Optional[str] = None,
                 elimination: Optional[Mapping[str, Any]] = None,
+                hazard: Optional["HazardReport"] = None,
                 ) -> Dict[str, Any]:
     """Build the versioned record for one executed cell.
 
     ``result`` is None when the run died (diagnosed hazard) or the
     compiler decided the loop runs serially; ``error`` then carries the
-    first line of the diagnosis.
+    first line of the diagnosis.  A run that died with a ``hazard``
+    report gains a top-level ``hazard`` object: the blocking wait-for
+    ``cycle`` (None when there is none), the ``blocked`` tasks' states
+    by task name, and the ``recovery`` counters and
+    ``recovery_actions`` the recovery layer reached before the death.
     """
     record: Dict[str, Any] = {
         "schema_version": RECORD_SCHEMA_VERSION,
@@ -64,6 +72,14 @@ def make_record(key: str, config: Mapping[str, Any], *,
         record["compile"] = dict(compile_info)
     if error is not None:
         record["error"] = error
+    if hazard is not None:
+        record["hazard"] = {
+            "cycle": list(hazard.cycle) if hazard.cycle else None,
+            "blocked": {diag.task: diag.state
+                        for diag in hazard.blocked()},
+            "recovery": dict(hazard.recovery),
+            "recovery_actions": list(hazard.recovery_actions),
+        }
     if result is None:
         record["metrics"] = None
         if serial_cycles is not None:
@@ -102,6 +118,11 @@ def merge_records(path: pathlib.Path,
     keys and a trailing newline, so identical record sets produce
     byte-identical files regardless of how the sweep was executed.
 
+    A missing or empty file is an empty store.  A file that is not a
+    store -- unparsable text, or JSON whose top level or ``records`` is
+    not an object -- raises :class:`ValueError` naming ``path`` and is
+    left untouched: the merge never replaces records it cannot read.
+
     The whole read-merge-write runs under the advisory
     :class:`~repro.lab.store.StoreLock` at ``<path>.lock``, so N
     concurrent sweeps merging into one store serialize instead of
@@ -119,14 +140,19 @@ def merge_records(path: pathlib.Path,
     store: Dict[str, Any] = {"schema_version": RECORD_SCHEMA_VERSION,
                              "records": {}}
     with StoreLock(path.with_name(path.name + ".lock")):
-        if path.exists():
-            try:
-                previous = json.loads(path.read_text())
-            except (ValueError, OSError):
-                previous = {}
-            for key, record in previous.get("records", {}).items():
-                if record_is_current(record):
-                    store["records"][key] = record
+        try:
+            text = path.read_text() if path.exists() else ""
+            previous = json.loads(text) if text else {}
+        except (OSError, ValueError) as err:
+            raise ValueError(f"record store {path} is unreadable ({err}); "
+                             f"not merging") from None
+        if not (isinstance(previous, dict)
+                and isinstance(previous.get("records", {}), dict)):
+            raise ValueError(f"record store {path} is not an object with "
+                             f"a \"records\" object; not merging")
+        for key, record in previous.get("records", {}).items():
+            if record_is_current(record):
+                store["records"][key] = record
         for record in records:
             store["records"][record["key"]] = dict(record)
         durable_write_text(path, json.dumps(store, sort_keys=True, indent=1,

@@ -155,10 +155,12 @@ def execute_cell(config: Mapping[str, Any],
 
     Module-level (picklable) so pool workers can run it directly.  The
     outcome is ``serial`` when the compiler declined to parallelize;
-    otherwise :func:`repro.faults.chaos.run_classified` names it, so
-    sweep cells and chaos cases share one taxonomy (``ok``,
+    otherwise :func:`repro.faults.chaos.run_classified` names it with
+    the degradation contract's taxonomy (``ok``,
     ``deadlock-``/``limit-diagnosed`` or ``-undiagnosed``,
-    ``corruption-detected``).
+    ``corruption-detected``).  This is the one runner of a fault-plan
+    cell, whether a sweep spec or ``python -m repro chaos`` built it; a
+    run that died keeps its hazard report in the record's ``hazard``.
     """
     key = key or SweepCell.from_config(config).key
     loop = build_app(config["app"], config["app_params"])
@@ -188,7 +190,7 @@ def execute_cell(config: Mapping[str, Any],
                        serial_cycles=serial_cycles,
                        compile_info=compile_info,
                        elimination=elimination,
-                       error=run.error)
+                       error=run.error, hazard=run.report)
 
 
 def _worker(item: Tuple[Dict[str, Any], str]) -> Dict[str, Any]:

@@ -39,9 +39,11 @@ _FLAGS = ("recover", "validate", "eliminate")
 
 
 def _check_outside_input(where: str, processors: Iterable[Any],
+                         seeds: Iterable[Any], wait_bounds: Iterable[Any],
                          **named: Iterable[Any]) -> None:
-    """Reject unknown app/scheme/schedule/plan names and processor
-    counts below 1 in a grid or cell that came from outside."""
+    """Reject unknown app/scheme/schedule/plan names, processor counts
+    below 1, non-integer seeds and wait bounds that are neither None nor
+    an integer >= 1 in a grid or cell that came from outside."""
     known = {"app": list(APP_BUILDERS),
              "scheme": scheme_names() + [AUTO_SCHEME],
              "schedule": list(SCHEDULES),
@@ -56,6 +58,14 @@ def _check_outside_input(where: str, processors: Iterable[Any],
         if not isinstance(procs, int) or procs < 1:
             raise ValueError(f"processors {procs!r} in {where} "
                              f"must be an integer >= 1")
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed {seed!r} in {where} must be an integer")
+    for bound in wait_bounds:
+        if bound is not None and (not isinstance(bound, int)
+                                  or isinstance(bound, bool) or bound < 1):
+            raise ValueError(f"wait bound {bound!r} in {where} must be "
+                             f"null or an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,8 @@ class SweepCell:
     seed: int = 0
     wait_bound: Optional[int] = None
     validate: bool = True
-    #: fault-plan preset name (None: clean run); the cell's ``seed``
-    #: seeds the plan, exactly as in ``python -m repro chaos``
+    #: fault-plan preset name (None: clean run), seeded by the cell's
+    #: ``seed``; ``python -m repro chaos`` is a sweep of such cells
     plan: Optional[str] = None
     #: enable the recovery layer under the fault plan
     recover: bool = False
@@ -107,8 +117,9 @@ class SweepCell:
         The entry for cell configs from outside: the service's
         ``{"cells": [...]}`` submissions and the journaled job files a
         restarted :class:`~repro.lab.service.SweepService` reconstitutes.
-        Unknown keys and names and processors below 1 are rejected with
-        the checks a :class:`SweepSpec` applies.
+        Unknown keys and names, processors below 1, non-integer seeds
+        and bad wait bounds are rejected with the checks a
+        :class:`SweepSpec` applies.
         """
         if not isinstance(config, Mapping):
             raise ValueError(f"cell config {config!r} must be an object")
@@ -131,7 +142,8 @@ class SweepCell:
             eliminate=bool(config.get("eliminate", False)),
         )
         _check_outside_input(
-            f"cell {cell.key}", [cell.processors], app=[cell.app],
+            f"cell {cell.key}", [cell.processors], [cell.seed],
+            [cell.wait_bound], app=[cell.app],
             scheme=[cell.scheme], schedule=[cell.schedule],
             plan=[] if cell.plan is None else [cell.plan])
         return cell
@@ -194,7 +206,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         where = f"spec {self.name!r}"
         _check_outside_input(
-            where, self.processors, app=[app for app, _params in self.apps],
+            where, self.processors, self.seeds, self.wait_bounds,
+            app=[app for app, _params in self.apps],
             scheme=self.schemes, schedule=self.schedules,
             plan=[plan for plan in self.plans if plan is not None])
         if not self.apps or not self.schemes:

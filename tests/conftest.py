@@ -6,6 +6,8 @@ import pytest
 
 from repro.apps.kernels import (doall_loop, example2_loop, example3_loop,
                                 fig21_loop, recurrence_loop)
+from repro.lab import SweepCell
+from repro.lab.runner import execute_cell
 from repro.sim import Machine, MachineConfig
 
 
@@ -47,3 +49,16 @@ def machine4():
 def machine8():
     """An 8-processor self-scheduled machine."""
     return Machine(MachineConfig(processors=8))
+
+
+@pytest.fixture
+def fault_record():
+    """Run one fault-plan cell of the Fig 2.1 loop (cost 8, every wait
+    bounded at 100,000 polls) through the sweep runner; returns its
+    record."""
+    def run(scheme, plan, seed=0, *, n=16, processors=4, recover=False):
+        cell = SweepCell(app="fig2.1", app_params=(("cost", 8), ("n", n)),
+                         scheme=scheme, processors=processors, seed=seed,
+                         wait_bound=100_000, plan=plan, recover=recover)
+        return execute_cell(cell.config())
+    return run

@@ -1,1 +1,1 @@
-"""Fault injection, hazard diagnosis and the chaos harness."""
+"""Fault injection, hazard diagnosis and the degradation contract."""

@@ -1,11 +1,11 @@
-"""JSON serialization of hazard reports and chaos outcomes."""
+"""JSON serialization of hazard reports and fault-cell records."""
 
 from __future__ import annotations
 
 import json
 
-from repro.faults import FaultPlan, HazardReport, make_plan
-from repro.faults.chaos import run_chaos_case
+from repro.faults import FaultPlan, HazardReport
+from repro.faults.chaos import fault_machine_config, run_classified
 from repro.sim import DeadlockError, Machine, MachineConfig
 from repro.schemes import make_scheme
 from repro.apps.kernels import fig21_loop
@@ -49,23 +49,42 @@ def test_report_round_trips_through_from_json():
 
 
 def test_diagnosed_report_carries_recovery_state():
-    outcome = run_chaos_case(
-        "statement-oriented",
-        FaultPlan(name="meltdown", seed=1, crash_prob=0.02),
-        n=16, processors=4, recover=True)
-    assert outcome.outcome in ("deadlock-diagnosed", "limit-diagnosed")
-    assert outcome.recovery_actions
-    assert outcome.recovery.get("reincarnations", 0) > 0
+    instrumented = make_scheme("statement-oriented").instrument(
+        fig21_loop(n=16, cost=8))
+    instrumented.bound_waits(100_000)
+    machine = Machine(fault_machine_config(
+        FaultPlan(name="meltdown", seed=1, crash_prob=0.02), recover=True,
+        processors=4))
+    run = run_classified(machine, instrumented)
+    assert run.outcome in ("deadlock-diagnosed", "limit-diagnosed")
+    assert run.report.recovery_actions
+    assert run.report.recovery.get("reincarnations", 0) > 0
 
 
-def test_chaos_outcome_to_json():
-    outcome = run_chaos_case("process-oriented",
-                             make_plan("crash-task", seed=0),
-                             n=16, processors=4, recover=True)
-    payload = outcome.to_json()
+def test_chaos_outcome_to_json(fault_record):
+    """A fault cell's record is JSON-native and names its cell; a
+    completed run keeps its recovery counters in the metrics and lists
+    no recovery actions (no hazard report)."""
+    payload = fault_record("process-oriented", "crash-task", recover=True)
     assert json.loads(json.dumps(payload)) == payload
     assert payload["outcome"] == "ok"
-    assert payload["scheme"] == "process-oriented"
-    assert payload["plan"] == "crash-task"
-    assert payload["recovery"]["reincarnations"] >= 2
-    assert isinstance(payload["recovery_actions"], list)
+    assert payload["config"]["scheme"] == "process-oriented"
+    assert payload["config"]["plan"] == "crash-task"
+    assert payload["metrics"]["recovery"]["reincarnations"] >= 2
+    assert "hazard" not in payload
+
+
+def test_died_cell_record_keeps_the_hazard(fault_record):
+    """A fault cell that died keeps its diagnosis in the record's
+    top-level ``hazard``: the cycle, each blocked task's state and the
+    recovery counters and actions reached before the death."""
+    payload = fault_record("statement-oriented", "lossy-bus", 5)
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["outcome"] == "deadlock-diagnosed"
+    assert payload["metrics"] == {"serial_cycles": 640}
+    hazard = payload["hazard"]
+    assert set(hazard) == {"cycle", "blocked", "recovery",
+                           "recovery_actions"}
+    assert hazard["blocked"] and set(hazard["cycle"]) <= set(
+        hazard["blocked"])
+    assert hazard["recovery"] == {} and hazard["recovery_actions"] == []

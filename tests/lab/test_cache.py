@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.lab import ResultCache, SweepOptions, SweepSpec, run_sweep
 from repro.lab.cache import source_fingerprint
 from repro.lab.store import open_envelope, seal_record
@@ -99,6 +101,29 @@ def test_merge_overwrites_same_key(tmp_path):
     merged = json.loads(store_path.read_text())
     assert len(merged["records"]) == 1
     assert merged["records"][record["key"]]["outcome"] == "later"
+
+
+@pytest.mark.parametrize("text", [
+    '{"records": {"a": {"key": "a"}}, "schema_ver',
+    '[1, 2]',
+    '{"records": [1], "schema_version": 1}',
+], ids=["truncated", "array", "records-array"])
+def test_merge_refuses_a_store_it_cannot_read(tmp_path, text):
+    """A store that is not a record store is named and left byte for
+    byte as it was, never replaced by the new records alone."""
+    store_path = tmp_path / "store.json"
+    store_path.write_text(text)
+    for records in ([], [{"key": "k", "outcome": "ok"}]):
+        with pytest.raises(ValueError, match=str(store_path)):
+            merge_records(store_path, records)
+        assert store_path.read_text() == text
+
+
+def test_merge_treats_an_empty_file_as_an_empty_store(tmp_path):
+    store_path = tmp_path / "store.json"
+    store_path.write_text("")
+    merge_records(store_path, [{"key": "k", "outcome": "ok"}])
+    assert list(json.loads(store_path.read_text())["records"]) == ["k"]
 
 
 def test_cache_counts_hits_and_misses(tmp_path):

@@ -1,17 +1,17 @@
-"""Sweep fault cells and chaos cases share one run-and-classify step.
+"""``python -m repro chaos`` and sweep fault cells share one runner.
 
-``repro.faults.chaos.run_classified`` names every outcome for both
-``run_chaos_case`` and ``repro.lab.runner.execute_cell``; these tests pin
-that the two front ends agree cell for cell, and that the chaos rule
-for an undiagnosed hazard reaches sweep records too.
+``repro.lab.runner.execute_cell`` runs every fault cell through
+``repro.faults.chaos.run_classified``; these tests pin that the chaos
+mode's store is the store of the same grid run as a sweep spec, and
+that the rule for an undiagnosed hazard reaches sweep records too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.chaos import run_chaos_case, run_classified
-from repro.faults.plan import make_plan
+from repro.__main__ import main
+from repro.faults.chaos import ACCEPTABLE_OUTCOMES, run_classified
 from repro.faults.watchdog import HazardReport, WaitForGraph
 from repro.lab import SweepOptions, SweepSpec, make_spec, run_sweep
 from repro.lab.apps import build_app
@@ -25,7 +25,7 @@ PLANS = ("lossy-bus", "crash-task", "jitter")
 
 
 def fault_spec(recover: bool) -> SweepSpec:
-    """The chaos harness's default case as a sweep grid."""
+    """The chaos mode's default case as a sweep grid."""
     return SweepSpec.build(
         "chaos-parity", apps=[("fig2.1", {"n": 12, "cost": 8})],
         schemes=scheme_names(), processors=(4,), wait_bounds=(100_000,),
@@ -33,18 +33,18 @@ def fault_spec(recover: bool) -> SweepSpec:
 
 
 @pytest.mark.parametrize("recover", [False, True])
-def test_sweep_records_match_chaos_cases(recover):
+def test_sweep_records_match_chaos_cases(tmp_path, capsys, recover):
+    sweep_json, chaos_json = tmp_path / "sweep.json", tmp_path / "chaos.json"
     report = run_sweep(fault_spec(recover),
-                       SweepOptions(procs=1, cache_dir=None))
+                       SweepOptions(procs=1, cache_dir=None,
+                                    json_path=sweep_json))
     assert len(report.records) == len(scheme_names()) * len(PLANS)
-    for record in report.records:
-        config = record["config"]
-        case = run_chaos_case(config["scheme"],
-                              make_plan(config["plan"], seed=config["seed"]),
-                              n=12, processors=4, recover=recover)
-        makespan = (record["metrics"] or {}).get("makespan")
-        assert (record["outcome"], makespan) == (case.outcome,
-                                                 case.makespan), record["key"]
+    assert main(["chaos", "--seeds", "1", "--n", "12", "--processors", "4",
+                 "--plans", ",".join(PLANS), "--json", str(chaos_json)]
+                + (["--recover"] if recover else [])) == 0
+    assert f"merged {len(report.records)} record(s)" in \
+        capsys.readouterr().out
+    assert chaos_json.read_bytes() == sweep_json.read_bytes()
 
 
 def _empty_report() -> HazardReport:
@@ -53,25 +53,32 @@ def _empty_report() -> HazardReport:
 
 
 @pytest.mark.parametrize("report", [None, "empty"])
-def test_undiagnosed_deadlock_in_chaos_and_sweep(monkeypatch, report):
+def test_undiagnosed_deadlock_in_chaos_and_sweep(monkeypatch, capsys,
+                                                report):
     hazard = _empty_report() if report == "empty" else None
 
     def stuck(self, workload):
         raise DeadlockError("stuck without a diagnosis", report=hazard)
 
     monkeypatch.setattr(Machine, "run", stuck)
-    case = run_chaos_case("process-oriented", make_plan("jitter", seed=0),
-                          n=8, processors=2)
-    assert case.outcome == "deadlock-undiagnosed"
-    assert not case.acceptable
-    assert case.blocked_tasks == {} and case.makespan is None
-
     cell = fault_spec(False).cells()[0]
     record = execute_cell(cell.config())
     assert record["key"] == cell.key
     assert record["outcome"] == "deadlock-undiagnosed"
+    assert record["outcome"] not in ACCEPTABLE_OUTCOMES
     assert record["error"].startswith("stuck without a diagnosis")
     assert set(record["metrics"]) == {"serial_cycles"}
+    # an undiagnosed report has no task rows, so nothing is blocked
+    assert record.get("hazard", {}).get("blocked", {}) == {}
+    assert ("hazard" in record) == (hazard is not None)
+
+    # the chaos mode names the violation and exits 1
+    assert main(["chaos", "--seeds", "1", "--n", "8", "--processors", "2",
+                 "--schemes", "process-oriented", "--plans", "jitter"]) == 1
+    out = capsys.readouterr().out
+    assert "DEGRADATION CONTRACT VIOLATED by 1 run(s)" in out
+    assert ("process-oriented / jitter / seed 0: deadlock-undiagnosed -- "
+            "stuck without a diagnosis") in out
 
 
 @pytest.mark.parametrize(

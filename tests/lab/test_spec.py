@@ -66,6 +66,12 @@ def _spec_json(**fields):
     ({"schedules": ["bogus"]}, "unknown schedule 'bogus'"),
     ({"plans": [None, "nosuch"]}, "unknown plan 'nosuch'"),
     ({"apps": [["fig2.1", [8]]]}, "app params [8] must map"),
+    ({"seeds": ["x"]}, "seed 'x'"),
+    ({"seeds": [0, 1.5]}, "seed 1.5"),
+    ({"seeds": [True]}, "seed True"),
+    ({"wait_bounds": [-5]}, "wait bound -5"),
+    ({"wait_bounds": [None, 0]}, "wait bound 0"),
+    ({"wait_bounds": ["100"]}, "wait bound '100'"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_spec_rejects_bad_outside_input(fields, message):
     """Spec JSON comes from ``sweep --spec FILE.json`` and service
@@ -91,6 +97,11 @@ def _cell_config(**fields):
     ({"schedule": "bogus"}, "unknown schedule 'bogus'"),
     ({"plan": "nope"}, "unknown plan 'nope'"),
     ({"app_params": [8]}, "app params [8] must map"),
+    ({"seed": "x"}, "seed 'x'"),
+    ({"seed": None}, "seed None"),
+    ({"wait_bound": -5}, "wait bound -5"),
+    ({"wait_bound": 0}, "wait bound 0"),
+    ({"wait_bound": 2.5}, "wait bound 2.5"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_cell_config_rejects_bad_outside_input(fields, message):
     """Cell configs come from service ``{"cells": [...]}`` submissions

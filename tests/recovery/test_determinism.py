@@ -11,8 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.kernels import fig21_loop
-from repro.faults import FaultPlan, make_plan
-from repro.faults.chaos import run_chaos_case
+from repro.faults import FaultPlan
 from repro.recovery import RecoveryPolicy
 from repro.schemes import make_scheme, scheme_names
 from repro.sim import Machine, MachineConfig
@@ -22,28 +21,29 @@ P = 4
 
 @pytest.mark.parametrize("plan_name", ["lossy-bus", "flaky-rmw",
                                        "crash-task"])
-def test_recovered_runs_replay_byte_for_byte(plan_name):
+def test_recovered_runs_replay_byte_for_byte(fault_record, plan_name):
     def run():
-        return run_chaos_case("process-oriented",
-                              make_plan(plan_name, seed=3),
-                              n=16, processors=P, recover=True)
+        return fault_record("process-oriented", plan_name, 3,
+                            processors=P, recover=True)
 
     first, second = run(), run()
-    assert first.outcome == second.outcome == "ok"
-    assert first.makespan == second.makespan
-    assert first.recovery == second.recovery
-    assert first.recovery_actions == second.recovery_actions
+    assert first["outcome"] == second["outcome"] == "ok"
+    assert first["metrics"]["makespan"] == second["metrics"]["makespan"]
+    assert first["metrics"]["recovery"] == second["metrics"]["recovery"]
+    # a completed run lists no recovery actions: it has no hazard report
+    assert "hazard" not in first and "hazard" not in second
+    assert first == second
 
 
-def test_different_seeds_recover_differently():
-    outcomes = [run_chaos_case("statement-oriented",
-                               make_plan("lossy-bus", seed=seed),
-                               n=16, processors=P, recover=True)
-                for seed in range(4)]
-    assert all(o.outcome == "ok" for o in outcomes)
+def test_different_seeds_recover_differently(fault_record):
+    records = [fault_record("statement-oriented", "lossy-bus", seed,
+                            processors=P, recover=True)
+               for seed in range(4)]
+    assert all(r["outcome"] == "ok" for r in records)
     # the runs are seeded, not degenerate: some pair must differ
-    assert len({(o.makespan, tuple(sorted(o.recovery.items())))
-                for o in outcomes}) > 1
+    assert len({(r["metrics"]["makespan"],
+                 tuple(sorted(r["metrics"]["recovery"].items())))
+                for r in records}) > 1
 
 
 def _trace_key(result):
@@ -70,15 +70,18 @@ def test_recovery_on_clean_run_is_zero_overhead(name):
     assert configured.recovery_events == 0
 
 
-def test_faulty_run_without_recovery_is_unchanged_by_the_layer():
+def test_faulty_run_without_recovery_is_unchanged_by_the_layer(
+        fault_record):
     """The injector's draw stream must be identical whether or not
     recovery is configured off: same plan + seed, no recovery, twice."""
     def run():
-        return run_chaos_case("statement-oriented",
-                              make_plan("lossy-bus", seed=5),
-                              n=16, processors=P, recover=False)
+        return fault_record("statement-oriented", "lossy-bus", 5,
+                            processors=P)
 
     first, second = run(), run()
-    assert first.outcome == second.outcome
-    assert first.makespan == second.makespan
-    assert first.fault_events == second.fault_events
+    assert first["outcome"] == second["outcome"]
+    assert (first["metrics"] or {}).get("makespan") \
+        == (second["metrics"] or {}).get("makespan")
+    assert (first["metrics"] or {}).get("faults") \
+        == (second["metrics"] or {}).get("faults")
+    assert first == second
