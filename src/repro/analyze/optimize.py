@@ -105,6 +105,36 @@ def arc_gate(loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
         return None
 
 
+def _fold(scheme: SyncScheme) -> Optional[int]:
+    """The configuration's fold factor X (process-oriented only)."""
+    return (scheme.n_counters if scheme.name == "process-oriented"
+            else None)
+
+
+def _gate_key(scheme: SyncScheme, arcs: List[SyncArc]) -> tuple:
+    return (scheme.name, _fold(scheme),
+            tuple((arc.src, arc.dst, arc.distance) for arc in arcs))
+
+
+def _cached_gate(verdicts: Dict[tuple, Optional[AnalysisReport]],
+                 loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
+                 arcs: List[SyncArc], *, window: Optional[int],
+                 app: str) -> Optional[AnalysisReport]:
+    """:func:`arc_gate`, computed once per arc subset of one search.
+
+    ``verdicts`` lives for one :func:`optimize` call, where the loop,
+    graph, window and app are fixed and each (scheme, fold) names one
+    configuration.  Every trial list is an order-preserving subsequence
+    of the instrumented arcs, so the ordered arc tuple is an exact key.
+    ``None`` (unanalyzable) verdicts are cached too.
+    """
+    key = _gate_key(scheme, arcs)
+    if key not in verdicts:
+        verdicts[key] = arc_gate(loop, scheme, graph, arcs,
+                                 window=window, app=app)
+    return verdicts[key]
+
+
 @dataclass(frozen=True)
 class CandidateTrial:
     """One scored candidate in the search's audit trail."""
@@ -265,7 +295,9 @@ def _configurations(scheme: SyncScheme) -> List[SyncScheme]:
 def _search_config(loop: Loop, graph: DependenceGraph,
                    scheme: SyncScheme, *, app: str,
                    window: Optional[int], processors: int,
-                   audit: List[CandidateTrial]) -> Optional[dict]:
+                   audit: List[CandidateTrial],
+                   verdicts: Dict[tuple, Optional[AnalysisReport]],
+                   ) -> Optional[dict]:
     """Best-improvement greedy arc elimination for one configuration.
 
     Every round scores each single-arc removal with the cost model and
@@ -273,8 +305,7 @@ def _search_config(loop: Loop, graph: DependenceGraph,
     static verifier admits is taken and the round restarts.  Returns
     None when the configuration's own full placement is not clean.
     """
-    fold = (scheme.n_counters if scheme.name == "process-oriented"
-            else None)
+    fold = _fold(scheme)
     try:
         instrumented = scheme.instrument(loop, graph)
     except AnalysisError as err:
@@ -284,7 +315,8 @@ def _search_config(loop: Loop, graph: DependenceGraph,
             verdict="rejected:unanalyzable", detail=str(err)))
         return None
     arcs = list(instrumented.arcs)
-    report = arc_gate(loop, scheme, graph, arcs, window=window, app=app)
+    report = _cached_gate(verdicts, loop, scheme, graph, arcs,
+                          window=window, app=app)
     score = _objective(loop, graph, scheme, arcs, processors)
     if report is None or not report.clean:
         audit.append(CandidateTrial(
@@ -315,8 +347,8 @@ def _search_config(loop: Loop, graph: DependenceGraph,
             if trial_score >= score:
                 break  # no removal predicts an improvement any more
             trial = [a for a in kept if a is not arc]
-            trial_report = arc_gate(loop, scheme, graph, trial,
-                                    window=window, app=app)
+            trial_report = _cached_gate(verdicts, loop, scheme, graph,
+                                        trial, window=window, app=app)
             if trial_report is None:
                 audit.append(CandidateTrial(
                     scheme=scheme.name, fold=fold, action="drop-arc",
@@ -350,8 +382,9 @@ def _search_config(loop: Loop, graph: DependenceGraph,
 
 
 def _farthest_first(loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
-                    instrumented: Any, *, window: Optional[int],
-                    app: str) -> Tuple[List[SyncArc], List[SyncArc]]:
+                    instrumented: Any, *, window: Optional[int], app: str,
+                    verdicts: Dict[tuple, Optional[AnalysisReport]],
+                    ) -> Tuple[List[SyncArc], List[SyncArc]]:
     """(kept, dropped) arcs of one greedy farthest-first pass.
 
     Farthest-reaching arcs go first: they are the ones transitivity
@@ -361,12 +394,20 @@ def _farthest_first(loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
     """
     kept = list(instrumented.arcs)
     dropped: List[SyncArc] = []
-    if not verify_instrumented(instrumented, window=window, app=app,
-                               scheme_name=scheme.name).clean:
+    # Re-instrumenting from the placement's own arcs compiles the same
+    # plan, so the search's verdict on it stands; an unanalyzable one is
+    # verified again to raise the verifier's own error.
+    report = _cached_gate(verdicts, loop, scheme, graph, kept,
+                          window=window, app=app)
+    if report is None:
+        report = verify_instrumented(instrumented, window=window, app=app,
+                                     scheme_name=scheme.name)
+    if not report.clean:
         return kept, dropped
     for arc in sorted(kept, key=lambda a: (-a.distance, a.src, a.dst)):
         trial = [other for other in kept if other is not arc]
-        report = arc_gate(loop, scheme, graph, trial, window=window, app=app)
+        report = _cached_gate(verdicts, loop, scheme, graph, trial,
+                              window=window, app=app)
         if report is not None and report.clean:
             kept = trial
             dropped.append(arc)
@@ -392,12 +433,13 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
             f"applies to {ARC_SCHEMES}")
     graph = graph or DependenceGraph(loop)
     audit: List[CandidateTrial] = []
+    verdicts: Dict[tuple, Optional[AnalysisReport]] = {}
 
     candidates = []
     for config in _configurations(scheme):
         found = _search_config(loop, graph, config, app=app,
                                window=window, processors=processors,
-                               audit=audit)
+                               audit=audit, verdicts=verdicts)
         if found is not None:
             candidates.append(found)
     if not candidates:
@@ -439,7 +481,8 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
     # Farthest-first baseline on the same input, summarized with its
     # own objective value so beats_baseline is apples to apples.
     kept, dropped = _farthest_first(loop, scheme, graph, instrumented,
-                                    window=window, app=app)
+                                    window=window, app=app,
+                                    verdicts=verdicts)
     base_ops, base_cycles = _objective(loop, graph, scheme, kept,
                                        processors)
     baseline = {"sync_arcs": len(input_arcs), "sync_arcs_after": len(kept),

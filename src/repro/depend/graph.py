@@ -73,8 +73,10 @@ class DependenceGraph:
     def __init__(self, loop: Loop,
                  dependences: Optional[Sequence[Dependence]] = None) -> None:
         self.loop = loop
-        self.dependences: List[Dependence] = (
-            list(dependences) if dependences is not None else analyze(loop))
+        #: a tuple, so the cached dependence instances cannot go stale
+        self.dependences: Tuple[Dependence, ...] = tuple(
+            dependences if dependences is not None else analyze(loop))
+        self._instances: Optional[Tuple[DependenceInstance, ...]] = None
 
     # ------------------------------------------------------------------
     # classification helpers
@@ -205,12 +207,19 @@ class DependenceGraph:
     # validator support
     # ------------------------------------------------------------------
 
-    def dependence_instances(self) -> List[DependenceInstance]:
+    def dependence_instances(self) -> Tuple[DependenceInstance, ...]:
         """Concrete (source tag, sink tag, address) ordering obligations.
 
         Tags are ``(sid, lpid)``.  Guarded statements contribute only the
-        instances where both endpoints actually execute.
+        instances where both endpoints actually execute.  Enumerated on
+        the first call and cached: the optimizer's every trial and the
+        run's validation read the same tuple.
         """
+        if self._instances is None:
+            self._instances = tuple(self._enumerate_instances())
+        return self._instances
+
+    def _enumerate_instances(self) -> List[DependenceInstance]:
         kinds = {"flow": ("W", "R"), "anti": ("R", "W"),
                  "output": ("W", "W")}
         instances: List[DependenceInstance] = []

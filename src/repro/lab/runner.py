@@ -45,6 +45,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from ..compiler.pipeline import compile_loop
+from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..faults.chaos import (ClassifiedRun, fault_machine_config,
                             run_classified)
@@ -95,8 +96,8 @@ class JobCancelled(RuntimeError):
     """
 
 
-def _elimination_info(config: Mapping[str, Any],
-                      loop: Loop) -> Optional[Dict[str, Any]]:
+def _elimination_info(config: Mapping[str, Any], loop: Loop,
+                      graph: DependenceGraph) -> Optional[Dict[str, Any]]:
     """The cell's redundant-sync column: optimizer counts, as metrics.
 
     Analysis only -- the simulated run keeps the scheme's full
@@ -110,13 +111,13 @@ def _elimination_info(config: Mapping[str, Any],
     :mod:`repro.analyze` imports ``lab.apps``, so a module-level import
     here would be circular.
     """
-    if not config.get("eliminate") or config["scheme"] == AUTO_SCHEME:
+    if not config.get("eliminate"):
         return None
     from ..analyze import AnalysisError
     from ..analyze.optimize import optimize
     try:
         report = optimize(loop, make_scheme(config["scheme"]),
-                          app=config["app"])
+                          graph=graph, app=config["app"])
     except (AnalysisError, NotImplementedError, ValueError) as err:
         return {"supported": False,
                 "reason": str(err).splitlines()[0]}
@@ -161,13 +162,16 @@ def execute_cell(config: Mapping[str, Any],
     ``corruption-detected``).  This is the one runner of a fault-plan
     cell, whether a sweep spec or ``python -m repro chaos`` built it; a
     run that died keeps its hazard report in the record's ``hazard``.
+    A non-``auto`` cell analyzes its loop once: the optimizer column
+    and the simulated run share one :class:`DependenceGraph`, so they
+    share one enumeration of its dependence instances.
     """
     key = key or SweepCell.from_config(config).key
     loop = build_app(config["app"], config["app_params"])
     serial_cycles = loop.serial_cycles()
-    elimination = _elimination_info(config, loop)
     machine = _machine_for(config)
     compile_info: Optional[Dict[str, Any]] = None
+    elimination: Optional[Dict[str, Any]] = None
     run = ClassifiedRun(outcome="serial")
     if config["scheme"] == AUTO_SCHEME:
         decision = compile_loop(loop, processors=config["processors"])
@@ -180,7 +184,9 @@ def execute_cell(config: Mapping[str, Any],
         instrumented = (decision.instrumented if decision.runs_parallel
                         else None)
     else:
-        instrumented = make_scheme(config["scheme"]).instrument(loop)
+        graph = DependenceGraph(loop)
+        elimination = _elimination_info(config, loop, graph)
+        instrumented = make_scheme(config["scheme"]).instrument(loop, graph)
     if instrumented is not None:
         if config["wait_bound"] is not None:
             instrumented.bound_waits(config["wait_bound"])

@@ -7,6 +7,7 @@ import pytest
 from repro.depend.analysis import Dependence
 from repro.depend.graph import DependenceGraph, linear_distance
 from repro.depend.model import Loop, Statement, ref1
+from repro.lab.apps import app_names, build_app
 
 
 def arc_set(arcs):
@@ -153,6 +154,27 @@ def test_dependence_instances_addresses(fig21):
             # S1 writes A[i+3]; S3 at i+1 reads A[i+3]
             assert addr == ("A", src[1] + 3)
             assert (src_kind, dst_kind) == ("W", "R")
+
+
+def test_dependence_instances_are_enumerated_once(fig21):
+    graph = DependenceGraph(fig21)
+    first = graph.dependence_instances()
+    assert isinstance(first, tuple)
+    assert graph.dependence_instances() is first
+    # the dependences are a tuple too, so the cache cannot go stale
+    assert isinstance(graph.dependences, tuple)
+
+
+@pytest.mark.parametrize("app", app_names())
+def test_cached_instances_equal_a_fresh_enumeration(app):
+    """The cached tuple is the enumeration, element for element, for
+    every shipped app at its default size."""
+    graph = DependenceGraph(build_app(app, {}))
+    graph.dependence_instances()
+    cached = graph.dependence_instances()
+    fresh = DependenceGraph(build_app(app, {}))
+    assert list(cached) == fresh._enumerate_instances()
+    assert cached == fresh.dependence_instances()
 
 
 def test_has_unknown_distance_property():
