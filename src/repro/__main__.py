@@ -553,9 +553,10 @@ def _chaos_mode(parser: argparse.ArgumentParser, args) -> int:
             totals[key] = totals.get(key, 0) + count
     print_table(
         ["scheme", "plan", "seed", "outcome", "detail"], rows,
-        title=f"chaos sweep: {len(schemes)} scheme(s) x {len(plans)} "
-              f"plan(s) x {args.seeds} seed(s) on {args.processors} "
-              f"processors" + (" [recovery on]" if args.recover else ""))
+        title=f"chaos sweep: {len(spec.schemes)} scheme(s) x "
+              f"{len(spec.plans)} plan(s) x {args.seeds} seed(s) on "
+              f"{args.processors} processors"
+              + (" [recovery on]" if args.recover else ""))
     print("\noutcomes: " + ", ".join(
         f"{name}={count}" for name, count in sorted(histogram.items())))
     if args.recover:

@@ -42,8 +42,9 @@ def _check_outside_input(where: str, processors: Iterable[Any],
                          seeds: Iterable[Any], wait_bounds: Iterable[Any],
                          **named: Iterable[Any]) -> None:
     """Reject unknown app/scheme/schedule/plan names, processor counts
-    below 1, non-integer seeds and wait bounds that are neither None nor
-    an integer >= 1 in a grid or cell that came from outside."""
+    that are not an integer >= 1, non-integer seeds and wait bounds that
+    are neither None nor an integer >= 1 in a grid or cell that came
+    from outside (a JSON boolean is not an integer here)."""
     known = {"app": list(APP_BUILDERS),
              "scheme": scheme_names() + [AUTO_SCHEME],
              "schedule": list(SCHEDULES),
@@ -55,7 +56,8 @@ def _check_outside_input(where: str, processors: Iterable[Any],
                     f"unknown {kind} {value!r} in {where}; "
                     f"known: {', '.join(sorted(known[kind]))}")
     for procs in processors:
-        if not isinstance(procs, int) or procs < 1:
+        if (not isinstance(procs, int) or isinstance(procs, bool)
+                or procs < 1):
             raise ValueError(f"processors {procs!r} in {where} "
                              f"must be an integer >= 1")
     for seed in seeds:
@@ -66,6 +68,25 @@ def _check_outside_input(where: str, processors: Iterable[Any],
                                   or isinstance(bound, bool) or bound < 1):
             raise ValueError(f"wait bound {bound!r} in {where} must be "
                              f"null or an integer >= 1")
+
+
+def _flag(where: str, name: str, value: Any) -> bool:
+    """A ``recover``/``validate``/``eliminate`` value from outside: only
+    a JSON boolean passes, so ``"false"`` cannot switch a flag on."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} in {where} must be true or "
+                         f"false")
+    return value
+
+
+def _distinct(values: Iterable[Any]) -> Tuple[Any, ...]:
+    """``values`` without repeats, first occurrence kept.  Values are
+    compared by ``repr``, so ``1``, ``1.0`` and ``True`` stay distinct
+    (they give distinct cell keys)."""
+    first: Dict[str, Any] = {}
+    for value in values:
+        first.setdefault(repr(value), value)
+    return tuple(first.values())
 
 
 @dataclass(frozen=True)
@@ -117,9 +138,9 @@ class SweepCell:
         The entry for cell configs from outside: the service's
         ``{"cells": [...]}`` submissions and the journaled job files a
         restarted :class:`~repro.lab.service.SweepService` reconstitutes.
-        Unknown keys and names, processors below 1, non-integer seeds
-        and bad wait bounds are rejected with the checks a
-        :class:`SweepSpec` applies.
+        Unknown keys and names, processors below 1, non-integer seeds,
+        bad wait bounds and flags that are not JSON booleans are
+        rejected with the checks a :class:`SweepSpec` applies.
         """
         if not isinstance(config, Mapping):
             raise ValueError(f"cell config {config!r} must be an object")
@@ -136,16 +157,19 @@ class SweepCell:
             schedule=config.get("schedule", "self"),
             seed=config.get("seed", 0),
             wait_bound=config.get("wait_bound"),
-            validate=bool(config.get("validate", True)),
+            validate=config.get("validate", True),
             plan=config.get("plan"),
-            recover=bool(config.get("recover", False)),
-            eliminate=bool(config.get("eliminate", False)),
+            recover=config.get("recover", False),
+            eliminate=config.get("eliminate", False),
         )
+        where = f"cell {cell.key}"
         _check_outside_input(
-            f"cell {cell.key}", [cell.processors], [cell.seed],
+            where, [cell.processors], [cell.seed],
             [cell.wait_bound], app=[cell.app],
             scheme=[cell.scheme], schedule=[cell.schedule],
             plan=[] if cell.plan is None else [cell.plan])
+        for flag in _FLAGS:
+            _flag(where, flag, getattr(cell, flag))
         return cell
 
     @property
@@ -172,7 +196,12 @@ def _freeze_params(params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A named grid of runs: the cross product of every axis below."""
+    """A named grid of runs: the cross product of every axis below.
+
+    A value repeated on an axis is kept once, at its first position, so
+    no cell is simulated twice; a grid without repeats expands exactly
+    as written.
+    """
 
     name: str
     #: (app name, parameter dict) points; not crossed with each other
@@ -215,6 +244,8 @@ class SweepSpec:
         for axis in _AXES:
             if not getattr(self, axis):
                 raise ValueError(f"{where} has an empty {axis} axis")
+        for axis in ("apps", "schemes") + _AXES:
+            object.__setattr__(self, axis, _distinct(getattr(self, axis)))
 
     def cells(self) -> List[SweepCell]:
         """Expand the grid in deterministic (nested-axis) order."""
@@ -268,7 +299,8 @@ class SweepSpec:
         """Load a spec from a dict, a JSON string, or a ``.json`` path.
 
         Keys outside :meth:`to_json`'s are rejected, so a misspelled
-        axis cannot silently fall back to its default.
+        axis cannot silently fall back to its default, and so are flags
+        that are not JSON booleans.
         """
         if isinstance(data, pathlib.Path):
             data = json.loads(data.read_text())
@@ -282,7 +314,8 @@ class SweepSpec:
         axes = {key: data[key] for key in _AXES if key in data}
         for flag in _FLAGS:
             if flag in data:
-                axes[flag] = bool(data[flag])
+                axes[flag] = _flag(f"spec {data.get('name')!r}", flag,
+                                   data[flag])
         return cls.build(data["name"],
                          [(app, params) for app, params in data["apps"]],
                          data["schemes"], **axes)

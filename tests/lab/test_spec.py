@@ -72,6 +72,10 @@ def _spec_json(**fields):
     ({"wait_bounds": [-5]}, "wait bound -5"),
     ({"wait_bounds": [None, 0]}, "wait bound 0"),
     ({"wait_bounds": ["100"]}, "wait bound '100'"),
+    ({"validate": "false"}, "validate 'false'"),
+    ({"recover": "no"}, "recover 'no'"),
+    ({"eliminate": 1}, "eliminate 1"),
+    ({"processors": [True]}, "processors True"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_spec_rejects_bad_outside_input(fields, message):
     """Spec JSON comes from ``sweep --spec FILE.json`` and service
@@ -102,6 +106,10 @@ def _cell_config(**fields):
     ({"wait_bound": -5}, "wait bound -5"),
     ({"wait_bound": 0}, "wait bound 0"),
     ({"wait_bound": 2.5}, "wait bound 2.5"),
+    ({"validate": "false"}, "validate 'false'"),
+    ({"recover": 0}, "recover 0"),
+    ({"eliminate": "yes"}, "eliminate 'yes'"),
+    ({"processors": True}, "processors True"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_cell_config_rejects_bad_outside_input(fields, message):
     """Cell configs come from service ``{"cells": [...]}`` submissions
@@ -110,6 +118,54 @@ def test_cell_config_rejects_bad_outside_input(fields, message):
     with pytest.raises(ValueError) as info:
         SweepCell.from_config(_cell_config(**fields))
     assert message in str(info.value)
+
+
+def test_json_boolean_flags_are_taken_as_given():
+    spec = SweepSpec.from_json(_spec_json(validate=False, recover=True,
+                                          eliminate=True))
+    assert (spec.validate, spec.recover, spec.eliminate) == \
+        (False, True, True)
+    cell = SweepCell.from_config(_cell_config(validate=False))
+    assert cell.validate is False
+
+
+def test_repeated_axis_values_expand_once():
+    """A repeated axis value is one grid point, at its first position:
+    no cell is simulated twice."""
+    spec = SweepSpec.from_json(_spec_json(
+        apps=[["fig2.1", {"n": 8}], ["fig2.1", {"n": 8}],
+              ["fig2.1", {"n": 10}]],
+        schemes=["process-oriented", "statement-oriented",
+                 "process-oriented"],
+        processors=[4, 2, 4], plans=["jitter", None, "jitter"],
+        seeds=[1, 0, 1], wait_bounds=[None, 100, None]))
+    assert spec.apps == (("fig2.1", (("n", 8),)), ("fig2.1", (("n", 10),)))
+    assert spec.schemes == ("process-oriented", "statement-oriented")
+    assert spec.processors == (4, 2)
+    assert spec.plans == ("jitter", None)
+    assert spec.seeds == (1, 0)
+    assert spec.wait_bounds == (None, 100)
+    keys = [cell.key for cell in spec.cells()]
+    assert len(keys) == len(set(keys)) == 2 * 2 * 2 * 2 * 2 * 2
+    written_once = SweepSpec.from_json(_spec_json(
+        apps=[["fig2.1", {"n": 8}], ["fig2.1", {"n": 10}]],
+        schemes=["process-oriented", "statement-oriented"],
+        processors=[4, 2], plans=["jitter", None], seeds=[1, 0],
+        wait_bounds=[None, 100]))
+    assert spec.cells() == written_once.cells()
+
+
+def test_grids_without_repeats_expand_as_written():
+    for name in sweep_presets():
+        spec = make_spec(name)
+        cells = spec.cells()
+        assert len(cells) == len({cell.key for cell in cells}), name
+    two = SweepSpec.build("order", apps=[("fig2.1", {"n": 8})],
+                          schemes=["statement-oriented", "process-oriented"],
+                          processors=(8, 2))
+    assert [(c.scheme, c.processors) for c in two.cells()] == [
+        ("statement-oriented", 8), ("statement-oriented", 2),
+        ("process-oriented", 8), ("process-oriented", 2)]
 
 
 def test_cell_config_must_be_an_object():

@@ -190,6 +190,32 @@ def test_chaos_mode_recover_writes_json(tmp_path, capsys):
     assert any(sum(r["metrics"]["recovery"].values()) > 0 for r in records)
 
 
+def test_chaos_mode_runs_a_repeated_plan_once(tmp_path, capsys):
+    out_path = tmp_path / "chaos.json"
+    assert main(["chaos", "--seeds", "1", "--n", "8", "--processors", "2",
+                 "--schemes", "process-oriented", "--plans", "jitter,jitter",
+                 "--json", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "1 scheme(s) x 1 plan(s)" in out
+    assert f"merged 1 record(s) into {out_path}" in out
+    assert len(json.loads(out_path.read_text())["records"]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("validate", "false"),
+                                         ("recover", "no"),
+                                         ("eliminate", 1)])
+def test_sweep_spec_flag_must_be_a_json_boolean(tmp_path, capsys, flag,
+                                                value):
+    spec_path = tmp_path / "flag.json"
+    spec_path.write_text(json.dumps({
+        "name": "flag", "apps": [["fig2.1", {"n": 8}]],
+        "schemes": ["process-oriented"], flag: value}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--spec", str(spec_path), "--no-cache"])
+    assert exit_info.value.code == 2
+    assert f"{flag} {value!r}" in capsys.readouterr().err
+
+
 def test_chaos_json_is_identical_at_any_worker_count(tmp_path, capsys):
     """The store a chaos grid writes is the same bytes whether its cells
     ran inline or on supervised workers."""
