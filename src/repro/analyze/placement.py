@@ -112,10 +112,6 @@ class StaticPlacement:
     fold_factor: int = 1
 
 
-def _default_sync_read(op: SyncRead, pid: int, initial: Any) -> Any:
-    return initial
-
-
 def _optimistic_sync_read(op: SyncRead, pid: int, initial: Any) -> Any:
     if isinstance(initial, tuple) and len(initial) == 2:
         # A process-counter <owner, step> pair: answer as if ownership

@@ -49,7 +49,7 @@ from .events import (EVENT_SCHEMA_VERSION, CellDone, CellFailed,
                      JobSubmitted, SweepEvent, event_from_json,
                      event_from_line)
 from .executor import (DEFAULT_MAX_RETRIES, CellFailure, ExecutionOutcome,
-                       PoolSupervisor, SupervisedExecutor)
+                       PoolSupervisor)
 from .record import RECORD_SCHEMA_VERSION, merge_records
 from .runner import (IncompleteSweepError, JobCancelled, SweepOptions,
                      SweepReport, execute_cell, execute_grid, run_sweep)
@@ -69,7 +69,7 @@ __all__ = [
     "JobSubmitted", "PRESETS", "PoolSupervisor", "RECORD_SCHEMA_VERSION",
     "ResultCache", "RunConfig", "ServiceClient", "ServiceClosed",
     "ServiceError", "ServiceServer", "StoreChaos", "Subscription",
-    "SupervisedExecutor", "SweepCell", "SweepEvent", "SweepOptions",
+    "SweepCell", "SweepEvent", "SweepOptions",
     "SweepReport", "SweepService", "SweepSpec", "app_names", "build_app", "diagnose", "event_from_json",
     "event_from_line", "execute_cell", "execute_grid", "make_spec",
     "merge_records", "run_sweep", "sweep_presets",

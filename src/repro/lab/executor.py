@@ -1,8 +1,11 @@
 """The supervised executor: crash-safe fan-out for sweep cells.
 
-One supervision loop, :class:`PoolSupervisor`, runs every supervised
-cell in the repository -- a service's shared pool and a one-shot
-:class:`SupervisedExecutor` batch alike.  It assumes workers *will*
+One state machine, :class:`PoolSupervisor`, settles every cell attempt
+in the repository -- a service's shared pool, a sweep's private pool,
+and the inline path alike.  Built with ``procs=0`` it starts no
+process and no thread: :meth:`PoolSupervisor.run_batch` drives the
+batch on the calling thread through the same dispatch, landing, retry
+and quarantine steps.  With worker processes it assumes workers *will*
 misbehave:
 
 * **streaming** -- each worker holds exactly one in-flight cell;
@@ -129,23 +132,6 @@ class _Task:
     not_before: float = 0.0
 
 
-def _check_budget(max_retries: int, cell_timeout: Optional[float]) -> None:
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ValueError("cell_timeout must be positive, got "
-                         f"{cell_timeout}")
-
-
-def _batch_keys(work: Sequence[Any],
-                keys: Optional[Sequence[str]]) -> Sequence[str]:
-    if keys is None:
-        return [str(index) for index in range(len(work))]
-    if len(keys) != len(work):
-        raise ValueError(f"{len(work)} item(s) but {len(keys)} key(s)")
-    return keys
-
-
 class _Worker:
     """One supervised child process and its dedicated pipe."""
 
@@ -215,109 +201,6 @@ def _worker_main(conn, fn: Callable[[Any], Any],
             conn.send(("err", index, f"{type(err).__name__}: {err}"))
 
 
-class SupervisedExecutor:
-    """Run a function over items with supervision, retry, quarantine.
-
-    ``validate(result, key)`` may return an error string to reject a
-    landed result (treated as a failed attempt -- this is how the
-    sweep runner turns corrupted or oversized records into retries).
-    ``procs <= 1`` with no chaos and no timeout runs inline -- same
-    retry and quarantine semantics, zero multiprocessing overhead.
-    Every other call is one batch on a private :class:`PoolSupervisor`
-    of ``min(procs, len(items))`` workers, torn down when it settles.
-    """
-
-    def __init__(self, fn: Callable[[Any], Any], *, procs: int = 1,
-                 cell_timeout: Optional[float] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 chaos: Optional[ExecutorChaos] = None,
-                 validate: Optional[
-                     Callable[[Any, str], Optional[str]]] = None) -> None:
-        _check_budget(max_retries, cell_timeout)
-        self.fn = fn
-        self.procs = procs
-        self.cell_timeout = cell_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.chaos = chaos
-        self.validate = validate
-
-    # -- public ----------------------------------------------------------
-
-    def run(self, items: Sequence[Any],
-            keys: Optional[Sequence[str]] = None,
-            on_result: Optional[Callable[[int, str, Any], None]] = None,
-            on_dispatch: Optional[Callable[[int, str, int], None]] = None,
-            ) -> ExecutionOutcome:
-        """Execute every item; stream completions through ``on_result``.
-
-        ``on_result(index, key, result)`` fires as each cell lands (in
-        completion order, not submission order); exceptions it raises
-        propagate after the children are torn down, so a caller-side
-        interrupt cannot orphan workers.  ``on_dispatch(index, key,
-        attempt)`` fires as each attempt *starts* (``attempt`` is
-        0-based), which is how the sweep runner journals "began paying
-        for this cell" before the worker can crash.  Off the inline
-        path both hooks run on the pool's supervision thread while
-        this call blocks.
-        """
-        work = list(items)
-        keys = _batch_keys(work, keys)
-        if not work:
-            return ExecutionOutcome()
-        if (self.procs <= 1 and self.chaos is None
-                and self.cell_timeout is None):
-            return self._run_inline(work, keys, on_result, on_dispatch)
-        with PoolSupervisor(
-                self.fn, procs=min(self.procs, len(work)),
-                cell_timeout=self.cell_timeout,
-                max_retries=self.max_retries,
-                backoff_base=self.backoff_base,
-                backoff_cap=self.backoff_cap, chaos=self.chaos,
-                validate=self.validate) as pool:
-            return pool.run_batch(work, keys, on_result=on_result,
-                                  on_dispatch=on_dispatch)
-
-    # -- serial fast path ------------------------------------------------
-
-    def _run_inline(self, work, keys, on_result,
-                    on_dispatch) -> ExecutionOutcome:
-        outcome = ExecutionOutcome()
-        for index, (item, key) in enumerate(zip(work, keys)):
-            attempt = 0
-            while True:
-                outcome.attempts[index] = attempt + 1
-                if on_dispatch is not None:
-                    on_dispatch(index, key, attempt)
-                error = None
-                try:
-                    result = self.fn(item)
-                except Exception as err:  # noqa: BLE001 - becomes retry
-                    error = ("error", f"{type(err).__name__}: {err}")
-                else:
-                    detail = (self.validate(result, key)
-                              if self.validate else None)
-                    if detail is not None:
-                        error = ("bad-result", detail)
-                if error is None:
-                    outcome.results[index] = result
-                    if on_result is not None:
-                        on_result(index, key, result)
-                    break
-                if attempt >= self.max_retries:
-                    outcome.failures.append(CellFailure(
-                        index=index, key=key, attempts=attempt + 1,
-                        reason=error[0], detail=error[1]))
-                    break
-                attempt += 1
-                time.sleep(backoff_delay(attempt, self.backoff_base,
-                                         self.backoff_cap))
-        return outcome
-
-
 # -- shared persistent pool ----------------------------------------------
 
 
@@ -342,12 +225,11 @@ class _PoolBatch:
 class PoolSupervisor:
     """One persistent supervised worker pool shared by concurrent jobs.
 
-    The repository's one supervision loop (streamed completions,
-    per-cell timeout kill, crash respawn, capped backoff-retry,
-    quarantine).  A service keeps one running for every job; a
-    one-shot :class:`SupervisedExecutor` run is a single batch on a
-    private instance.  The workers outlive any single batch and serve
-    every caller:
+    The repository's one supervision state machine (streamed
+    completions, per-cell timeout kill, crash respawn, capped
+    backoff-retry, quarantine).  A service keeps one running for every
+    job; a sweep without a service builds a private one.  The workers
+    outlive any single batch and serve every caller:
 
     * **dynamic submission** -- :meth:`run_batch` may be called
       concurrently from many job threads; each call blocks until *its*
@@ -362,6 +244,14 @@ class PoolSupervisor:
     One background thread owns the workers and all supervision;
     submitting threads only enqueue tasks and wait on their batch
     ticket, so no lock is held across a blocking operation.
+
+    ``procs=0`` is the inline pool: no worker process and no
+    supervision thread.  Each :meth:`run_batch` call runs its attempts
+    one at a time on the submitting thread, through the same steps
+    (:meth:`_next_task`, :meth:`_begin`, :meth:`_land`), so retry,
+    backoff, ``validate`` rejection and quarantine behave exactly as in
+    the pool.  Chaos and a cell timeout act on a worker process, so
+    neither is accepted with ``procs=0``.
     """
 
     def __init__(self, fn: Callable[[Any], Any], *, procs: int = 1,
@@ -372,9 +262,18 @@ class PoolSupervisor:
                  chaos: Optional[ExecutorChaos] = None,
                  validate: Optional[
                      Callable[[Any, str], Optional[str]]] = None) -> None:
-        _check_budget(max_retries, cell_timeout)
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if cell_timeout is not None and cell_timeout <= 0:
+            raise ValueError("cell_timeout must be positive, got "
+                             f"{cell_timeout}")
+        if procs < 0:
+            raise ValueError(f"procs must be >= 0, got {procs}")
+        if procs == 0 and (chaos is not None or cell_timeout is not None):
+            raise ValueError("procs=0 runs cells inline: chaos and "
+                             "cell_timeout need a worker process")
         self.fn = fn
-        self.procs = max(1, procs)
+        self.procs = procs
         self.cell_timeout = cell_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -387,21 +286,25 @@ class PoolSupervisor:
         self._queues: "OrderedDict[str, List[_Task]]" = OrderedDict()
         self._batches: Set[_PoolBatch] = set()
         self._wake = threading.Event()
+        self._started = False
         self._stopping = False
         self._thread: Optional[threading.Thread] = None
 
     # -- public ----------------------------------------------------------
 
     def start(self) -> "PoolSupervisor":
-        """Spawn the workers and the supervision thread (idempotent)."""
+        """Spawn the workers and the supervision thread (idempotent;
+        ``procs=0`` spawns neither)."""
         with self._lock:
-            if self._thread is not None:
+            if self._started:
                 return self
             if self._stopping:
                 raise RuntimeError("pool supervisor already closed")
-            self._thread = threading.Thread(
-                target=self._run, name="pool-supervisor", daemon=True)
-            self._thread.start()
+            self._started = True
+            if self.procs:
+                self._thread = threading.Thread(
+                    target=self._run, name="pool-supervisor", daemon=True)
+                self._thread.start()
         return self
 
     def close(self) -> None:
@@ -413,6 +316,8 @@ class PoolSupervisor:
         self._wake.set()
         if thread is not None:
             thread.join()
+        else:
+            self._abandon(None)
 
     def __enter__(self) -> "PoolSupervisor":
         return self.start()
@@ -430,22 +335,26 @@ class PoolSupervisor:
                   ) -> ExecutionOutcome:
         """Run one batch through the shared pool; blocks until settled.
 
-        The per-batch contract matches :meth:`SupervisedExecutor.run`:
-        ``on_result(index, key, result)`` streams completions (indexed
-        by this batch's submission order), ``on_dispatch(index, key,
-        attempt)`` fires as attempts start, and an exception either
-        hook raises cancels the rest of the batch and re-raises here,
-        in the submitting thread.  ``group`` names the fairness lane
-        (one per job); concurrent batches in different groups
-        interleave round-robin.
+        ``on_result(index, key, result)`` streams completions as they
+        land (in completion order, indexed by this batch's submission
+        order); ``on_dispatch(index, key, attempt)`` fires as each
+        attempt starts (``attempt`` is 0-based).  Both hooks run on the
+        supervision thread, or on this thread when ``procs=0``.  An
+        exception either hook raises cancels the rest of the batch and
+        re-raises here, in the submitting thread.  ``group`` names the
+        fairness lane (one per job); concurrent batches in different
+        groups interleave round-robin.
         """
         work = list(items)
-        keys = _batch_keys(work, keys)
+        if keys is None:
+            keys = [str(index) for index in range(len(work))]
+        elif len(keys) != len(work):
+            raise ValueError(f"{len(work)} item(s) but {len(keys)} key(s)")
         batch = _PoolBatch(group, len(work), on_result, on_dispatch)
         if not work:
             return batch.outcome
         with self._lock:
-            if self._stopping or self._thread is None:
+            if self._stopping or not self._started:
                 batch.outcome.cancelled = True
                 return batch.outcome
             lane = self._queues.setdefault(group, [])
@@ -454,9 +363,14 @@ class PoolSupervisor:
                                   batch=batch))
             self._batches.add(batch)
         self._wake.set()
-        batch.done.wait()
-        with self._lock:
-            self._batches.discard(batch)
+        try:
+            if self.procs:
+                batch.done.wait()
+            else:
+                self._drive(batch)
+        finally:
+            with self._lock:
+                self._batches.discard(batch)
         if batch.error is not None:
             raise batch.error
         return batch.outcome
@@ -480,7 +394,7 @@ class PoolSupervisor:
             batch.done.set()
         return len(lane)
 
-    # -- supervision thread ----------------------------------------------
+    # -- supervision: the pool's thread, or the submitter at procs=0 ----
 
     def _run(self) -> None:
         ctx = pool_context()
@@ -507,18 +421,44 @@ class PoolSupervisor:
         finally:
             for worker in workers:
                 worker.kill()
-            # unblock every submitter: whatever had not settled when
-            # the pool died is reported cancelled, never hung, and a
-            # supervision crash re-raises in each submitting thread
-            with self._lock:
-                self._stopping = True
-                self._queues.clear()
-                batches = list(self._batches)
-            for batch in batches:
-                if batch.error is None:
-                    batch.error = crash
-                batch.outcome.cancelled = True
-                batch.done.set()
+            self._abandon(crash)
+
+    def _abandon(self, crash: Optional[Exception]) -> None:
+        """Unblock every submitter: whatever had not settled when the
+        pool stopped is reported cancelled, never hung, and a
+        supervision crash re-raises in each submitting thread."""
+        with self._lock:
+            self._stopping = True
+            self._queues.clear()
+            batches = list(self._batches)
+        for batch in batches:
+            if batch.error is None:
+                batch.error = crash
+            batch.outcome.cancelled = True
+            batch.done.set()
+
+    def _drive(self, batch: _PoolBatch) -> None:
+        """``procs=0``: run attempts on this thread until ``batch``
+        settles; a backoff-delayed retry waits in :meth:`_idle_wait`."""
+        try:
+            while not batch.done.is_set():
+                now = time.monotonic()
+                task = self._next_task(now)
+                if task is None:
+                    self._idle_wait(now)
+                    continue
+                self._begin(task)
+                status, payload = "ok", None
+                if not task.batch.cancelled:
+                    try:
+                        payload = self.fn(task.item)
+                    except Exception as err:  # noqa: BLE001 - a retry
+                        status = "err"
+                        payload = f"{type(err).__name__}: {err}"
+                self._land(task, status, payload)
+        except BaseException:
+            self._cancel_batch(batch)
+            raise
 
     def _idle_wait(self, now: float) -> None:
         """Nothing in flight: sleep until new work or backoff expiry."""
@@ -610,8 +550,6 @@ class PoolSupervisor:
             task = self._next_task(now)
             if task is None:
                 return
-            batch = task.batch
-            batch.outcome.attempts[task.index] = task.attempt + 1
             try:
                 worker.conn.send((task.index, task.key, task.attempt,
                                   task.item))
@@ -619,16 +557,22 @@ class PoolSupervisor:
                 # idle worker died between cells: replace it and requeue
                 # the cell at the front without charging its budget
                 with self._lock:
-                    self._queues.setdefault(batch.group,
+                    self._queues.setdefault(task.batch.group,
                                             []).insert(0, task)
-                self._spawn_replacement(workers, worker, batch, ctx)
+                self._spawn_replacement(workers, worker, task.batch, ctx)
                 return
-            if batch.on_dispatch is not None:
-                self._callback(batch, batch.on_dispatch, task.index,
-                               task.key, task.attempt)
             worker.task = task
             worker.deadline = (now + self.cell_timeout
                                if self.cell_timeout is not None else None)
+            self._begin(task)
+
+    def _begin(self, task: _Task) -> None:
+        """Count one attempt of ``task`` and fire ``on_dispatch``."""
+        batch = task.batch
+        batch.outcome.attempts[task.index] = task.attempt + 1
+        if batch.on_dispatch is not None:
+            self._callback(batch, batch.on_dispatch, task.index,
+                           task.key, task.attempt)
 
     def _collect(self, worker: _Worker, workers: List[_Worker],
                  ctx) -> None:
@@ -649,6 +593,13 @@ class PoolSupervisor:
         if index != task.index:  # pragma: no cover - protocol guard
             raise RuntimeError(f"worker answered cell {index}, "
                                f"expected {task.index}")
+        self._land(task, status, payload)
+
+    def _land(self, task: _Task, status: str, payload: Any) -> None:
+        """Settle one finished attempt: discard it (cancelled batch),
+        retry or quarantine it (``err`` reply or ``validate``
+        rejection), or deliver it through ``on_result``."""
+        batch = task.batch
         if batch.cancelled:
             self._settle(batch)
             return

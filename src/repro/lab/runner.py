@@ -4,7 +4,7 @@
 entry points:
 
 * :func:`run_sweep` -- the batch API: runs the grid synchronously on
-  the caller's thread, with a private executor per batch;
+  the caller's thread, with a private supervisor per call;
 * :class:`~repro.lab.service.SweepService` -- the server API: many
   concurrent jobs run the same core against one shared supervised
   worker pool.
@@ -58,7 +58,7 @@ from .chaos import ExecutorChaos
 from .events import (CellDone, CellFailed, CellShared, CellStarted,
                      SweepEvent)
 from .executor import (DEFAULT_MAX_RETRIES, CellFailure, PoolSupervisor,
-                       SupervisedExecutor, backoff_delay)
+                       backoff_delay)
 from .record import canonical_dumps, make_record, merge_records
 from .spec import AUTO_SCHEME, SweepCell, SweepSpec
 from .store import CellClaims, ClaimPolicy, reap_orphan_tmps
@@ -317,6 +317,17 @@ def _validate_worker_record(result: Any, key: str) -> Optional[str]:
     return None
 
 
+def make_supervisor(options: SweepOptions, procs: int) -> PoolSupervisor:
+    """A sweep's :class:`PoolSupervisor` of ``procs`` workers (0: run
+    cells inline), wired to simulate cells under ``options``' timeout,
+    retry budget and chaos, and to reject malformed worker records."""
+    return PoolSupervisor(_worker, procs=procs,
+                          cell_timeout=options.cell_timeout,
+                          max_retries=options.max_retries,
+                          chaos=options.chaos,
+                          validate=_validate_worker_record)
+
+
 #: one cold cell: (grid index, config, human key, cache key-or-None);
 #: the cache key is set whenever the sweep has a cache
 _Cold = Tuple[int, Dict[str, Any], str, Optional[str]]
@@ -338,8 +349,11 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
     ``supervisor``
         a running :class:`~repro.lab.executor.PoolSupervisor` shared
-        with other jobs (None: a private per-batch
-        :class:`SupervisedExecutor`, with the serial inline fast path);
+        with other jobs (None: a private one from
+        :func:`make_supervisor`, built when the first cold cell needs
+        it and closed on return; it runs cells inline on this thread
+        when ``options.procs <= 1`` with no chaos and no cell timeout,
+        else on ``min(procs, cold cells)`` worker processes);
     ``claims``
         a shared :class:`CellClaims` instance (None: one is built and
         closed here whenever a cache exists) -- sharing one instance
@@ -441,6 +455,8 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
     #: never wait out the staleness horizon on an abandoned cell
     acquired: List[str] = []
     shared = 0
+    #: the private supervisor, built on first use when none was passed
+    owned: Optional[PoolSupervisor] = None
 
     def journal_line(entry: Dict[str, Any]) -> None:
         if journal is not None:
@@ -477,6 +493,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
     def run_batch(batch: List[_Cold]) -> None:
         """Simulate one batch of claimed (or unclaimed) cold cells."""
+        nonlocal owned
         def on_landed(position: int, key: str,
                       record: Dict[str, Any]) -> None:
             index, _config, _key, cache_key = batch[position]
@@ -503,19 +520,14 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
         items = [(config, key) for _i, config, key, _ck in batch]
         keys = [key for _i, _config, key, _ck in batch]
-        if supervisor is not None:
-            outcome = supervisor.run_batch(
-                items, keys=keys, group=group,
-                on_result=on_landed, on_dispatch=on_dispatch)
-        else:
-            executor = SupervisedExecutor(
-                _worker, procs=options.procs,
-                cell_timeout=options.cell_timeout,
-                max_retries=options.max_retries, chaos=options.chaos,
-                validate=_validate_worker_record)
-            outcome = executor.run(items, keys=keys,
-                                   on_result=on_landed,
-                                   on_dispatch=on_dispatch)
+        if supervisor is None and owned is None:
+            inline = (options.procs <= 1 and options.chaos is None
+                      and options.cell_timeout is None)
+            owned = make_supervisor(options, 0 if inline else max(
+                1, min(options.procs, len(todo)))).start()
+        outcome = (supervisor or owned).run_batch(
+            items, keys=keys, group=group, on_result=on_landed,
+            on_dispatch=on_dispatch)
         if outcome.cancelled:
             raise JobCancelled(
                 f"job {group or name!r} cancelled mid-batch; landed "
@@ -586,6 +598,8 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
             bail()
             run_batch(takeovers)
     finally:
+        if owned is not None:
+            owned.close()
         if claims is not None:
             # releasing an already-released key is a no-op, so simply
             # drop everything this call ever claimed

@@ -53,8 +53,8 @@ from .cache import ResultCache
 from .events import (CellDone, CellFailed, CellShared, JobDone,
                      JobSubmitted, SweepEvent)
 from .executor import PoolSupervisor
-from .runner import (JobCancelled, SweepOptions, SweepReport,
-                     _validate_worker_record, _worker, execute_grid)
+from .runner import (JobCancelled, SweepOptions, SweepReport, execute_grid,
+                     make_supervisor)
 from .spec import SweepCell, SweepSpec, make_spec
 from .store import (JOBS_DIR, CellClaims, ClaimPolicy, durable_write_text,
                     reap_orphan_tmps)
@@ -280,11 +280,8 @@ class SweepService:
         reap_orphan_tmps(cache.root)
         self._claims = CellClaims(cache.root,
                                   options.claim_policy or ClaimPolicy())
-        self._pool = PoolSupervisor(
-            _worker, procs=options.procs,
-            cell_timeout=options.cell_timeout,
-            max_retries=options.max_retries, chaos=options.chaos,
-            validate=_validate_worker_record).start()
+        self._pool = make_supervisor(options,
+                                     max(1, options.procs)).start()
         self._counter = self._next_counter()
         self._running = True
         self._resume_journaled_jobs()

@@ -19,6 +19,7 @@ Specs come from three places:
 
 from __future__ import annotations
 
+import inspect
 import json
 import pathlib
 from dataclasses import dataclass, fields
@@ -38,15 +39,32 @@ _AXES = ("processors", "schedules", "seeds", "wait_bounds", "plans")
 _FLAGS = ("recover", "validate", "eliminate")
 
 
-def _check_outside_input(where: str, processors: Iterable[Any],
+def _check_outside_input(where: str,
+                         apps: Iterable[Tuple[str, Iterable[Tuple[str, Any]]]],
+                         processors: Iterable[Any],
                          seeds: Iterable[Any], wait_bounds: Iterable[Any],
                          **named: Iterable[Any]) -> None:
-    """Reject unknown app/scheme/schedule/plan names, processor counts
-    that are not an integer >= 1, non-integer seeds and wait bounds that
-    are neither None nor an integer >= 1 in a grid or cell that came
-    from outside (a JSON boolean is not an integer here)."""
-    known = {"app": list(APP_BUILDERS),
-             "scheme": scheme_names() + [AUTO_SCHEME],
+    """Reject unknown app/scheme/schedule/plan names, app params that
+    are not a keyword of the app's builder or whose value is neither
+    None nor an integer, processor counts that are not an integer >= 1,
+    non-integer seeds and wait bounds that are neither None nor an
+    integer >= 1 in a grid or cell that came from outside (a JSON
+    boolean is not an integer here)."""
+    for app, params in apps:
+        if app not in APP_BUILDERS:
+            raise ValueError(f"unknown app {app!r} in {where}; known: "
+                             f"{', '.join(sorted(APP_BUILDERS))}")
+        keywords = inspect.signature(APP_BUILDERS[app]).parameters
+        for param, value in params:
+            if param not in keywords:
+                raise ValueError(
+                    f"unknown param {param}={value!r} of app {app!r} in "
+                    f"{where}; known: {', '.join(keywords)}")
+            if value is not None and (not isinstance(value, int)
+                                      or isinstance(value, bool)):
+                raise ValueError(f"param {param}={value!r} of app {app!r} "
+                                 f"in {where} must be null or an integer")
+    known = {"scheme": scheme_names() + [AUTO_SCHEME],
              "schedule": list(SCHEDULES),
              "plan": plan_names()}
     for kind, values in named.items():
@@ -138,9 +156,11 @@ class SweepCell:
         The entry for cell configs from outside: the service's
         ``{"cells": [...]}`` submissions and the journaled job files a
         restarted :class:`~repro.lab.service.SweepService` reconstitutes.
-        Unknown keys and names, processors below 1, non-integer seeds,
-        bad wait bounds and flags that are not JSON booleans are
-        rejected with the checks a :class:`SweepSpec` applies.
+        Unknown keys and names, app params the app's builder does not
+        take or whose value is not an integer or null, processors below
+        1, non-integer seeds, bad wait bounds and flags that are not JSON
+        booleans are rejected with the checks a :class:`SweepSpec`
+        applies.
         """
         if not isinstance(config, Mapping):
             raise ValueError(f"cell config {config!r} must be an object")
@@ -164,8 +184,8 @@ class SweepCell:
         )
         where = f"cell {cell.key}"
         _check_outside_input(
-            where, [cell.processors], [cell.seed],
-            [cell.wait_bound], app=[cell.app],
+            where, [(cell.app, cell.app_params)], [cell.processors],
+            [cell.seed], [cell.wait_bound],
             scheme=[cell.scheme], schedule=[cell.schedule],
             plan=[] if cell.plan is None else [cell.plan])
         for flag in _FLAGS:
@@ -235,9 +255,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         where = f"spec {self.name!r}"
         _check_outside_input(
-            where, self.processors, self.seeds, self.wait_bounds,
-            app=[app for app, _params in self.apps],
-            scheme=self.schemes, schedule=self.schedules,
+            where, self.apps, self.processors, self.seeds,
+            self.wait_bounds, scheme=self.schemes, schedule=self.schedules,
             plan=[plan for plan in self.plans if plan is not None])
         if not self.apps or not self.schemes:
             raise ValueError(f"{where} has an empty grid")

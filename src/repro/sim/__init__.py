@@ -12,8 +12,7 @@ from .engine import (AccessRecord, DeadlockError, Engine, HazardError,
                      SimulationLimitError, TaskStats)
 from .machine import Machine, MachineConfig, SCHED_COUNTER, Workload
 from .memory import MemoryConfig, SharedMemory
-from .metrics import (EXTRA_SCHEMA_VERSION, FaultCounters, RecoveryCounters,
-                      RunResult)
+from .metrics import EXTRA_SCHEMA_VERSION, RunResult
 from .ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
                   SyncRead, SyncUpdate, SyncWrite, WaitUntil)
 from .scheduler import Scheduler, SelfScheduler, StaticScheduler
@@ -28,9 +27,7 @@ __all__ = [
     "AccessRecord", "Address", "Annotate", "BroadcastSyncFabric",
     "CachedSyncFabric", "Compute",
     "DeadlockError", "DependenceInstance", "EXTRA_SCHEMA_VERSION", "Engine",
-    "FaultCounters", "Fence",
-    "HazardError", "Machine",
-    "RecoveryCounters",
+    "Fence", "HazardError", "Machine",
     "MachineConfig", "MemRead", "MemWrite", "MemoryConfig",
     "MemorySyncFabric", "RunResult", "SCHED_COUNTER", "Scheduler",
     "SelfScheduler", "SharedMemory", "SimulationLimitError", "StaticScheduler",

@@ -11,8 +11,8 @@ directly from this record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Dict, List
 
 from .engine import AccessRecord, TaskStats
 
@@ -24,58 +24,6 @@ from .engine import AccessRecord, TaskStats
 #: whenever the shape of ``extra`` (key names, counter semantics,
 #: nesting) changes.
 EXTRA_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True, slots=True)
-class FaultCounters:
-    """Typed view of ``extra["faults"]`` (zeros when the run was clean).
-
-    Field names mirror the :class:`~repro.faults.injector.FaultInjector`
-    counter keys; unknown keys from future injector versions are ignored
-    by :meth:`from_extra` (the schema version is what gates mixing).
-    """
-
-    injected_stalls: int = 0
-    injected_stall_cycles: int = 0
-    crashes: int = 0
-    jittered_accesses: int = 0
-    dropped_updates: int = 0
-    duplicated_updates: int = 0
-    lost_broadcasts: int = 0
-    delayed_broadcasts: int = 0
-
-    @classmethod
-    def from_extra(cls, extra: Mapping[str, Any]) -> "FaultCounters":
-        """Build the typed view from a result's ``extra`` mapping."""
-        raw = extra.get("faults", {})
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in raw.items()
-                      if key in names})
-
-
-@dataclass(frozen=True, slots=True)
-class RecoveryCounters:
-    """Typed view of ``extra["recovery"]`` (zeros when none ran).
-
-    Field names mirror the :class:`~repro.recovery.RecoveryManager`
-    counter keys.
-    """
-
-    retransmissions: int = 0
-    forced_deliveries: int = 0
-    reincarnations: int = 0
-    reclaimed_iterations: int = 0
-    fallback_epochs: int = 0
-    fallback_polls: int = 0
-    recovery_overhead_cycles: int = 0
-
-    @classmethod
-    def from_extra(cls, extra: Mapping[str, Any]) -> "RecoveryCounters":
-        """Build the typed view from a result's ``extra`` mapping."""
-        raw = extra.get("recovery", {})
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in raw.items()
-                      if key in names})
 
 
 @dataclass(slots=True)
@@ -138,16 +86,6 @@ class RunResult:
         :data:`EXTRA_SCHEMA_VERSION` as stale and re-simulates.
         """
         return int(self.extra.get("schema_version", 0))
-
-    @property
-    def fault_counters(self) -> FaultCounters:
-        """Typed accessor for the fault-injection counters."""
-        return FaultCounters.from_extra(self.extra)
-
-    @property
-    def recovery_counters(self) -> RecoveryCounters:
-        """Typed accessor for the recovery-layer counters."""
-        return RecoveryCounters.from_extra(self.extra)
 
     @property
     def faults(self) -> Dict[str, int]:

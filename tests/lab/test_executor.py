@@ -10,12 +10,14 @@ interrupted mid-flight resumes recomputing zero completed cells.
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.__main__ import main
-from repro.lab import (ExecutionOutcome, ExecutorChaos, IncompleteSweepError,
-                       SupervisedExecutor, SweepOptions, SweepSpec, run_sweep)
+from repro.lab import (CellClaims, ClaimPolicy, ExecutionOutcome,
+                       ExecutorChaos, IncompleteSweepError, PoolSupervisor,
+                       ResultCache, SweepOptions, SweepSpec, run_sweep)
 from repro.lab import runner as runner_module
 from repro.lab.executor import backoff_delay
 
@@ -100,9 +102,9 @@ def _fail_on_three(item):
 
 
 def test_inline_path_retries_and_quarantines():
-    executor = SupervisedExecutor(_fail_on_three, procs=1, max_retries=1,
-                                  backoff_base=0.001)
-    outcome = executor.run([1, 2, 3, 4])
+    with PoolSupervisor(_fail_on_three, procs=0, max_retries=1,
+                        backoff_base=0.001) as pool:
+        outcome = pool.run_batch([1, 2, 3, 4])
     assert outcome.results == {0: 2, 1: 4, 3: 8}
     assert [f.index for f in outcome.failures] == [2]
     assert outcome.failures[0].reason == "error"
@@ -114,11 +116,11 @@ def test_inline_path_retries_and_quarantines():
 def test_supervised_streams_results_with_index_tags():
     chaos = ExecutorChaos(seed=3, flaky_prob=1.0)
     landed = []
-    executor = SupervisedExecutor(_double, procs=2, chaos=chaos,
-                                  backoff_base=0.001)
-    outcome = executor.run(list(range(6)),
-                           keys=[f"cell-{i}" for i in range(6)],
-                           on_result=lambda i, key, r: landed.append((i, r)))
+    with PoolSupervisor(_double, procs=2, chaos=chaos,
+                        backoff_base=0.001) as pool:
+        outcome = pool.run_batch(
+            list(range(6)), keys=[f"cell-{i}" for i in range(6)],
+            on_result=lambda i, key, r: landed.append((i, r)))
     assert outcome.results == {i: i * 2 for i in range(6)}
     assert not outcome.failures
     # every cell failed its first (injected-flaky) attempt
@@ -127,10 +129,11 @@ def test_supervised_streams_results_with_index_tags():
 
 
 def test_validate_hook_rejects_bad_results():
-    executor = SupervisedExecutor(
-        _double, procs=1, max_retries=0,
-        validate=lambda result, key: ("too big" if result > 4 else None))
-    outcome = executor.run([1, 2, 3])
+    with PoolSupervisor(
+            _double, procs=0, max_retries=0,
+            validate=lambda result, key: ("too big" if result > 4
+                                          else None)) as pool:
+        outcome = pool.run_batch([1, 2, 3])
     assert outcome.results == {0: 2, 1: 4}
     assert outcome.failures[0].reason == "bad-result"
     assert outcome.failures[0].detail == "too big"
@@ -283,14 +286,83 @@ def test_resume_requires_cache(tmp_path):
 def test_lost_cells_raise_typed_error_naming_keys(tmp_path, monkeypatch):
     """A record-less, failure-less cell must fail loudly, never misalign."""
     monkeypatch.setattr(
-        runner_module.SupervisedExecutor, "run",
-        lambda self, items, keys=None, on_result=None, on_dispatch=None:
-        ExecutionOutcome())
+        runner_module.PoolSupervisor, "run_batch",
+        lambda self, items, keys=None, **hooks: ExecutionOutcome())
     with pytest.raises(IncompleteSweepError) as excinfo:
         run_sweep(grid_spec(), options=SweepOptions(procs=1,
                   cache_dir=tmp_path / "cache"))
     assert len(excinfo.value.missing_keys) == 4
     assert "process-oriented" in str(excinfo.value)
+
+
+# -- the private supervisor of a sweep --------------------------------------
+
+
+def _spy_supervisors(monkeypatch):
+    """Record the worker count of every supervisor a sweep builds, and
+    the supervisor each batch runs on."""
+    built, batches = [], []
+    real_make = runner_module.make_supervisor
+    real_run = runner_module.PoolSupervisor.run_batch
+
+    def make(options, procs):
+        built.append(procs)
+        return real_make(options, procs)
+
+    def run_batch(self, items, *args, **kwargs):
+        batches.append(self)
+        return real_run(self, items, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "make_supervisor", make)
+    monkeypatch.setattr(runner_module.PoolSupervisor, "run_batch",
+                        run_batch)
+    return built, batches
+
+
+@pytest.mark.parametrize("options, procs", [
+    (SweepOptions(procs=1, cache_dir=None), 0),
+    (SweepOptions(procs=1, cache_dir=None,
+                  chaos=ExecutorChaos(seed=0)), 1),
+    (SweepOptions(procs=1, cache_dir=None, cell_timeout=30.0), 1),
+    (SweepOptions(procs=2, cache_dir=None), 2),
+    (SweepOptions(procs=8, cache_dir=None), 4),
+])
+def test_sweep_picks_inline_or_workers_once(monkeypatch, options, procs):
+    built, batches = _spy_supervisors(monkeypatch)
+    report = run_sweep(grid_spec(), options=options)
+    assert len(report.records) == 4 and not report.failed
+    assert built == [procs]
+    assert len(batches) == 1
+
+
+def test_warm_sweep_builds_no_supervisor(monkeypatch, tmp_path):
+    options = SweepOptions(procs=2, cache_dir=tmp_path / "cache")
+    run_sweep(grid_spec(), options=options)
+    built, _batches = _spy_supervisors(monkeypatch)
+    assert run_sweep(grid_spec(), options=options).all_cached
+    assert built == []
+
+
+def test_takeover_batch_reuses_the_sweep_supervisor(monkeypatch, tmp_path):
+    """A cell held by another writer past the wait budget is recomputed
+    in a second batch on the same private supervisor."""
+    cache = ResultCache(tmp_path)
+    key = cache.key_for(grid_spec().cells()[0].config())
+    foreign = CellClaims(tmp_path, ClaimPolicy(heartbeat_interval=0.05))
+    built, batches = _spy_supervisors(monkeypatch)
+    try:
+        assert foreign.acquire(key)
+        report = run_sweep(grid_spec(), options=SweepOptions(
+            procs=2, cache=cache, claim_policy=ClaimPolicy(
+                heartbeat_interval=0.05, wait_timeout=0.3,
+                poll_base=0.05, poll_cap=0.1)))
+    finally:
+        foreign.close()
+    assert report.misses == 4 and not report.failed
+    assert report.notes.get("forced") == 1
+    assert built == [2]
+    assert len(batches) == 2 and batches[0] is batches[1]
+    assert multiprocessing.active_children() == []
 
 
 # -- CLI surface ------------------------------------------------------------

@@ -225,4 +225,8 @@ def test_socket_round_trip_submit_watch_result_cancel(tmp_path):
         cell = dict(n_grid((10,)).cells()[0].config(), plan="nope")
         with pytest.raises(ServiceError, match="unknown plan 'nope'"):
             client.submit({"cells": [cell]})
+        # ...and so is an app param its builder does not take
+        bad = dict(n_grid((10,)).to_json(), apps=[["fig2.1", {"m": 3}]])
+        with pytest.raises(ServiceError, match="unknown param m=3"):
+            client.submit(bad)
         assert len(client.status()) == 1

@@ -76,6 +76,16 @@ def _spec_json(**fields):
     ({"recover": "no"}, "recover 'no'"),
     ({"eliminate": 1}, "eliminate 1"),
     ({"processors": [True]}, "processors True"),
+    ({"apps": [["fig2.1", {"n": "8"}]]},
+     "param n='8' of app 'fig2.1' in spec 'bad' must be null or an integer"),
+    ({"apps": [["fig2.1", {"n": True}]]}, "param n=True of app 'fig2.1'"),
+    ({"apps": [["fig2.1", {"n": [1, 2]}]]}, "param n=[1, 2] of app"),
+    ({"apps": [["fig2.1", {"n": {"a": 1}}]]}, "param n={'a': 1} of app"),
+    ({"apps": [["fig2.1", {"n": 8.0}]]}, "param n=8.0 of app 'fig2.1'"),
+    ({"apps": [["fig2.1", {"bogus": 3}]]},
+     "unknown param bogus=3 of app 'fig2.1' in spec 'bad'; known: n, cost"),
+    ({"apps": [["fig2.1", {"n": 8}], ["adi", {"k": 2}]]},
+     "unknown param k=2 of app 'adi'"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_spec_rejects_bad_outside_input(fields, message):
     """Spec JSON comes from ``sweep --spec FILE.json`` and service
@@ -110,6 +120,10 @@ def _cell_config(**fields):
     ({"recover": 0}, "recover 0"),
     ({"eliminate": "yes"}, "eliminate 'yes'"),
     ({"processors": True}, "processors True"),
+    ({"app_params": {"n": "8"}}, "param n='8' of app 'fig2.1' in cell"),
+    ({"app_params": {"n": False}}, "param n=False of app 'fig2.1'"),
+    ({"app_params": {"n": [1, 2]}}, "param n=[1, 2] of app 'fig2.1'"),
+    ({"app_params": {"bogus": 3}}, "unknown param bogus=3 of app 'fig2.1'"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_cell_config_rejects_bad_outside_input(fields, message):
     """Cell configs come from service ``{"cells": [...]}`` submissions
@@ -118,6 +132,17 @@ def test_cell_config_rejects_bad_outside_input(fields, message):
     with pytest.raises(ValueError) as info:
         SweepCell.from_config(_cell_config(**fields))
     assert message in str(info.value)
+
+
+def test_app_params_may_be_null_or_any_builder_keyword():
+    spec = SweepSpec.from_json(_spec_json(apps=[
+        ["fig2.1-delay", {"n": 8, "cost": 4, "slow_iteration": 2,
+                          "slow_cost": 50}],
+        ["example3", {"n": 6, "branch": None}]]))
+    assert [app for app, _params in spec.apps] == ["fig2.1-delay",
+                                                   "example3"]
+    cell = SweepCell.from_config(_cell_config(app_params={"n": None}))
+    assert cell.app_params == (("n", None),)
 
 
 def test_json_boolean_flags_are_taken_as_given():

@@ -375,6 +375,34 @@ def test_sweep_requires_spec(tmp_path, capsys):
         assert message in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"n": "8"}, "param n='8' of app 'fig2.1'"),
+    ({"n": True}, "param n=True of app 'fig2.1'"),
+    ({"n": [1, 2]}, "param n=[1, 2] of app 'fig2.1'"),
+    ({"n": {"a": 1}}, "param n={'a': 1} of app 'fig2.1'"),
+    ({"bogus": 3}, "unknown param bogus=3 of app 'fig2.1'"),
+], ids=["string", "bool", "list", "object", "unknown-name"])
+def test_sweep_rejects_bad_app_params_before_any_cell(tmp_path, capsys,
+                                                      monkeypatch, params,
+                                                      message):
+    """An app param the builder does not take, or a value that is not an
+    integer or null, is exit 2 from ``sweep`` before any cell runs."""
+    import repro.lab.runner as runner_module
+
+    def no_cell(*_args, **_kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(runner_module, "execute_grid", no_cell)
+    spec = tmp_path / "params.json"
+    spec.write_text(json.dumps({"name": "params",
+                                "apps": [["fig2.1", params]],
+                                "schemes": ["process-oriented"]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--spec", str(spec), "--no-cache"])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bench_rejects_inputs_that_disable_the_gate(capsys):
     """``--min-ratio`` <= 0 would make ``--check`` unable to fail and
     ``--repeat`` <= 0 would silently run once: both are parser errors,
