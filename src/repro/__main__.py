@@ -364,7 +364,7 @@ def _analyze_mode(parser: argparse.ArgumentParser, args) -> int:
 def _load_specs(parser: argparse.ArgumentParser, tokens, seed: int):
     """``--spec`` preset names or ``.json`` files, seeds shifted by
     ``seed``; a bad or missing token exits 2."""
-    from .lab import SweepSpec, make_spec, sweep_presets
+    from .lab import SweepSpec, decode_spec, sweep_presets
 
     if not tokens:
         parser.error(f"need at least one --spec (a preset name or a JSON "
@@ -373,10 +373,13 @@ def _load_specs(parser: argparse.ArgumentParser, tokens, seed: int):
     for token in tokens:
         path = pathlib.Path(token)
         try:
-            spec = (SweepSpec.from_json(path) if path.suffix == ".json"
-                    else make_spec(token))
-        except (OSError, KeyError, TypeError, ValueError) as err:
+            spec = decode_spec(json.loads(path.read_text())
+                               if path.suffix == ".json" else token)
+        except (OSError, ValueError) as err:
             parser.error(f"bad --spec {token!r}: {err}")
+        if not isinstance(spec, SweepSpec):
+            parser.error(f"bad --spec {token!r}: a cell list is not a "
+                         f"sweep spec")
         specs.append(spec.with_seed_base(seed))
     return specs
 

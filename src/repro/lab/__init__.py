@@ -55,8 +55,8 @@ from .runner import (IncompleteSweepError, JobCancelled, SweepOptions,
                      SweepReport, execute_cell, execute_grid, run_sweep)
 from .service import (DEFAULT_SOCKET, JobHandle, ServiceClosed,
                       ServiceServer, Subscription, SweepService)
-from .spec import (AUTO_SCHEME, PRESETS, SweepCell, SweepSpec, make_spec,
-                   sweep_presets)
+from .spec import (AUTO_SCHEME, PRESETS, SweepCell, SweepSpec, decode_spec,
+                   make_spec, sweep_presets)
 from .store import (CellClaims, ClaimPolicy, DoctorReport, diagnose)
 
 __all__ = [
@@ -69,8 +69,9 @@ __all__ = [
     "JobSubmitted", "PRESETS", "PoolSupervisor", "RECORD_SCHEMA_VERSION",
     "ResultCache", "RunConfig", "ServiceClient", "ServiceClosed",
     "ServiceError", "ServiceServer", "StoreChaos", "Subscription",
-    "SweepCell", "SweepEvent", "SweepOptions",
-    "SweepReport", "SweepService", "SweepSpec", "app_names", "build_app", "diagnose", "event_from_json",
-    "event_from_line", "execute_cell", "execute_grid", "make_spec",
-    "merge_records", "run_sweep", "sweep_presets",
+    "SweepCell", "SweepEvent", "SweepOptions", "SweepReport",
+    "SweepService", "SweepSpec", "app_names", "build_app", "decode_spec",
+    "diagnose", "event_from_json", "event_from_line", "execute_cell",
+    "execute_grid", "make_spec", "merge_records", "run_sweep",
+    "sweep_presets",
 ]

@@ -35,6 +35,7 @@ how tests and CI exercise the quarantine path.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -88,9 +89,12 @@ class ExecutorChaos:
         if self.fault_attempts < 1:
             raise ValueError("fault_attempts must be >= 1, got "
                              f"{self.fault_attempts}")
-        if self.hang_seconds < 0 or self.oversize_bytes < 0:
-            raise ValueError("hang_seconds and oversize_bytes must be "
-                             ">= 0")
+        if not 0 <= self.hang_seconds < math.inf:  # sleep(nan) raises
+            raise ValueError(f"hang_seconds {self.hang_seconds} must be "
+                             f"finite and >= 0")
+        if self.oversize_bytes < 0:
+            raise ValueError(f"oversize_bytes {self.oversize_bytes} must be "
+                             f">= 0")
 
     def draw(self, key: str, attempt: int) -> Optional[str]:
         """The fault kind to inject for this (cell, attempt), if any.

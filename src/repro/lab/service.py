@@ -55,9 +55,9 @@ from .events import (CellDone, CellFailed, CellShared, JobDone,
 from .executor import PoolSupervisor
 from .runner import (JobCancelled, SweepOptions, SweepReport, execute_grid,
                      make_supervisor)
-from .spec import SweepCell, SweepSpec, make_spec
+from .spec import SweepCell, SweepSpec, decode_spec
 from .store import (JOBS_DIR, CellClaims, ClaimPolicy, durable_write_text,
-                    reap_orphan_tmps)
+                    quarantine_file, reap_orphan_tmps)
 
 #: bump when the journaled job-file layout changes shape
 JOB_FILE_VERSION = 1
@@ -76,21 +76,6 @@ JOB_STATES = ("pending", "running", "done", "failed", "cancelled",
 
 class ServiceClosed(RuntimeError):
     """The service is not accepting submissions (closed or draining)."""
-
-
-def _parse_spec(data: Any) -> Union[SweepSpec, List[SweepCell]]:
-    """A wire or job-file spec: a preset name, a spec object, or
-    ``{"cells": [...]}`` (the form :meth:`SweepService.submit`
-    journals a bare cell list in)."""
-    if isinstance(data, str):
-        return make_spec(data)
-    if isinstance(data, Mapping):
-        if "cells" in data:
-            return [SweepCell.from_config(config)
-                    for config in data["cells"]]
-        return SweepSpec.from_json(dict(data))
-    raise ValueError("spec must be a preset name, a spec object, or "
-                     "{'cells': [...]}")
 
 
 @dataclass
@@ -502,18 +487,22 @@ class SweepService:
         for path in sorted((self.cache.root / JOBS_DIR).glob("*.json")):
             try:
                 data = json.loads(path.read_text())
-            except (OSError, ValueError):
+                if not isinstance(data, Mapping):
+                    raise ValueError("not a job object")
+                if data.get("job_file_version") != JOB_FILE_VERSION:
+                    continue  # another build's state: left alone
+                spec = decode_spec(data.get("spec"))
+                if data.get("job", path.stem) != path.stem:
+                    raise ValueError(f"job {data['job']!r} is not its file")
+            except OSError:
                 continue
-            if (not isinstance(data, Mapping)
-                    or data.get("job_file_version") != JOB_FILE_VERSION):
+            except ValueError:
+                # moved aside, so no restart re-reads it and doctor
+                # counts it quarantined instead of pending forever
+                quarantine_file(self.cache.root, path)
                 continue
-            job_id = data.get("job") or path.stem
-            try:
-                spec = _parse_spec(data.get("spec") or {})
-            except (KeyError, TypeError, ValueError):
-                continue
-            self.submit(spec, job_id=job_id, resume=True)
-            resumed.append(job_id)
+            self.submit(spec, job_id=path.stem, resume=True)
+            resumed.append(path.stem)
         return resumed
 
 
@@ -639,7 +628,7 @@ class ServiceServer:
                             draining=self.service._draining)
             elif op == "submit":
                 handle = self.service.submit(
-                    _parse_spec(request.get("spec")))
+                    decode_spec(request.get("spec")))
                 self._reply(writer, ok=True, job=handle.job_id,
                             cells=len(handle._job.cells))
             elif op == "status":

@@ -15,16 +15,20 @@ Specs come from three places:
 * a JSON file (``SweepSpec.from_json``), for ad-hoc grids from the
   command line;
 * code, for tests and custom harnesses.
+
+All three decode through one table, :data:`_FIELDS`; outside input
+enters by :func:`decode_spec`, and a bad value is a :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import pathlib
-from dataclasses import dataclass, fields
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..faults.plan import plan_names
 from ..schemes.registry import scheme_names
@@ -34,67 +38,105 @@ from .apps import APP_BUILDERS
 #: scheme name meaning "let the compiler pipeline pick"
 AUTO_SCHEME = "auto"
 
-#: the crossed axes of a :class:`SweepSpec` beyond apps and schemes
-_AXES = ("processors", "schedules", "seeds", "wait_bounds", "plans")
-_FLAGS = ("recover", "validate", "eliminate")
+#: app name -> the keywords its builder takes, looked up once
+_APP_KEYWORDS = {app: tuple(inspect.signature(builder).parameters)
+                 for app, builder in APP_BUILDERS.items()}
+
+#: a decoder of one value: (value, where) -> the value, or ValueError
+Decoder = Callable[[Any, str], Any]
 
 
-def _check_outside_input(where: str,
-                         apps: Iterable[Tuple[str, Iterable[Tuple[str, Any]]]],
-                         processors: Iterable[Any],
-                         seeds: Iterable[Any], wait_bounds: Iterable[Any],
-                         **named: Iterable[Any]) -> None:
-    """Reject unknown app/scheme/schedule/plan names, app params that
-    are not a keyword of the app's builder or whose value is neither
-    None nor an integer, processor counts that are not an integer >= 1,
-    non-integer seeds and wait bounds that are neither None nor an
-    integer >= 1 in a grid or cell that came from outside (a JSON
-    boolean is not an integer here)."""
-    for app, params in apps:
-        if app not in APP_BUILDERS:
-            raise ValueError(f"unknown app {app!r} in {where}; known: "
-                             f"{', '.join(sorted(APP_BUILDERS))}")
-        keywords = inspect.signature(APP_BUILDERS[app]).parameters
-        for param, value in params:
-            if param not in keywords:
-                raise ValueError(
-                    f"unknown param {param}={value!r} of app {app!r} in "
-                    f"{where}; known: {', '.join(keywords)}")
-            if value is not None and (not isinstance(value, int)
-                                      or isinstance(value, bool)):
-                raise ValueError(f"param {param}={value!r} of app {app!r} "
-                                 f"in {where} must be null or an integer")
-    known = {"scheme": scheme_names() + [AUTO_SCHEME],
-             "schedule": list(SCHEDULES),
-             "plan": plan_names()}
-    for kind, values in named.items():
-        for value in values:
-            if value not in known[kind]:
-                raise ValueError(
-                    f"unknown {kind} {value!r} in {where}; "
-                    f"known: {', '.join(sorted(known[kind]))}")
-    for procs in processors:
-        if (not isinstance(procs, int) or isinstance(procs, bool)
-                or procs < 1):
-            raise ValueError(f"processors {procs!r} in {where} "
-                             f"must be an integer >= 1")
-    for seed in seeds:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed {seed!r} in {where} must be an integer")
-    for bound in wait_bounds:
-        if bound is not None and (not isinstance(bound, int)
-                                  or isinstance(bound, bool) or bound < 1):
-            raise ValueError(f"wait bound {bound!r} in {where} must be "
-                             f"null or an integer >= 1")
+def _integer(value: Any, minimum: Optional[int] = None) -> bool:
+    """An int of at least ``minimum``; a JSON boolean is not one."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
 
 
-def _flag(where: str, name: str, value: Any) -> bool:
-    """A ``recover``/``validate``/``eliminate`` value from outside: only
-    a JSON boolean passes, so ``"false"`` cannot switch a flag on."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} {value!r} in {where} must be true or "
-                         f"false")
-    return value
+def _value(noun: str, ok: Callable[[Any], bool], must: str) -> Decoder:
+    def decode(value: Any, where: str) -> Any:
+        if not ok(value):
+            raise ValueError(f"{noun} {value!r} in {where} must be {must}")
+        return value
+    return decode
+
+
+def _known(kind: str, names: List[str], null: bool = False) -> Decoder:
+    listed = ", ".join(sorted(names))
+    allowed = set(names) | ({None} if null else set())
+
+    def decode(value: Any, where: str) -> Optional[str]:
+        if (value is None or isinstance(value, str)) and value in allowed:
+            return value
+        raise ValueError(f"unknown {kind} {value!r} in {where}; "
+                         f"known: {listed}")
+    return decode
+
+
+def _app(point: Any, where: str) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
+    """An ``[app, {builder keyword: int | null}]`` pair, its params as a
+    sorted tuple of pairs (the frozen form is taken too)."""
+    if not isinstance(point, (list, tuple)) or len(point) != 2:
+        raise ValueError(f"app {point!r} in {where} must be an "
+                         f"[app, params] pair")
+    app, params = point
+    keywords = _APP_KEYWORDS.get(app) if isinstance(app, str) else None
+    if keywords is None:
+        raise ValueError(f"unknown app {app!r} in {where}; known: "
+                         f"{', '.join(sorted(APP_BUILDERS))}")
+    params = dict(params) if isinstance(params, tuple) else params
+    if not isinstance(params, Mapping):
+        raise ValueError(f"app params {params!r} must map names to values "
+                         f"in {where}")
+    for param, value in params.items():
+        if param not in keywords:
+            raise ValueError(
+                f"unknown param {param}={value!r} of app {app!r} in "
+                f"{where}; known: {', '.join(keywords)}")
+        if value is not None and not _integer(value):
+            raise ValueError(f"param {param}={value!r} of app {app!r} "
+                             f"in {where} must be null or an integer")
+    return app, tuple(sorted(params.items()))
+
+
+#: every field of a spec: key -> (decoder of one value, whether a spec
+#: holds a non-empty list of them, the key of the one value a cell holds).
+#: A cell's ``app`` and ``app_params`` are one ``apps`` entry.
+_FIELDS: Dict[str, Tuple[Decoder, bool, Optional[str]]] = {
+    "name": (_value("name", lambda v: isinstance(v, str), "a string"),
+             False, None),
+    "apps": (_app, True, None),
+    "schemes": (_known("scheme", scheme_names() + [AUTO_SCHEME]), True,
+                "scheme"),
+    "processors": (_value("processors", lambda v: _integer(v, 1),
+                          "an integer >= 1"), True, "processors"),
+    "schedules": (_known("schedule", list(SCHEDULES)), True, "schedule"),
+    "seeds": (_value("seed", _integer, "an integer"), True, "seed"),
+    "wait_bounds": (_value("wait bound", lambda v: v is None
+                           or _integer(v, 1), "null or an integer >= 1"),
+                    True, "wait_bound"),
+    "plans": (_known("plan", plan_names(), null=True), True, "plan"),
+    # only a JSON boolean, so "false" cannot switch a flag on
+    **{flag: (_value(flag, lambda v: isinstance(v, bool), "true or false"),
+              False, flag) for flag in ("recover", "validate", "eliminate")},
+}
+
+
+def _object(data: Any, noun: str, cls: type) -> Mapping[str, Any]:
+    """``data`` as a JSON object of ``cls``'s fields, each field without
+    a default among them."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{noun} {data!r} must be an object")
+    keys = [field.name for field in fields(cls)]
+    unknown = sorted(str(key) for key in data if key not in keys)
+    if unknown:
+        raise ValueError(f"unknown {noun} key(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(keys)}")
+    missing = [field.name for field in fields(cls)
+               if field.default is MISSING and field.name not in data]
+    if missing:
+        raise ValueError(f"{noun} is missing required key(s) "
+                         f"{', '.join(missing)}")
+    return data
 
 
 def _distinct(values: Iterable[Any]) -> Tuple[Any, ...]:
@@ -150,47 +192,20 @@ class SweepCell:
         }
 
     @classmethod
-    def from_config(cls, config: Mapping[str, Any]) -> "SweepCell":
-        """Rebuild a cell from its :meth:`config` dict (the inverse).
+    def from_config(cls, config: Any) -> "SweepCell":
+        """Decode a cell from its :meth:`config` dict (the inverse).
 
         The entry for cell configs from outside: the service's
         ``{"cells": [...]}`` submissions and the journaled job files a
         restarted :class:`~repro.lab.service.SweepService` reconstitutes.
-        Unknown keys and names, app params the app's builder does not
-        take or whose value is not an integer or null, processors below
-        1, non-integer seeds, bad wait bounds and flags that are not JSON
-        booleans are rejected with the checks a :class:`SweepSpec`
-        applies.
+        Each value is decoded by its spec field's entry in :data:`_FIELDS`.
         """
-        if not isinstance(config, Mapping):
-            raise ValueError(f"cell config {config!r} must be an object")
-        keys = [field.name for field in fields(cls)]
-        unknown = sorted(set(config) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown cell key(s) {', '.join(unknown)}; "
-                             f"known: {', '.join(keys)}")
-        cell = cls(
-            app=config["app"],
-            app_params=_freeze_params(config.get("app_params") or {}),
-            scheme=config["scheme"],
-            processors=config["processors"],
-            schedule=config.get("schedule", "self"),
-            seed=config.get("seed", 0),
-            wait_bound=config.get("wait_bound"),
-            validate=config.get("validate", True),
-            plan=config.get("plan"),
-            recover=config.get("recover", False),
-            eliminate=config.get("eliminate", False),
-        )
-        where = f"cell {cell.key}"
-        _check_outside_input(
-            where, [(cell.app, cell.app_params)], [cell.processors],
-            [cell.seed], [cell.wait_bound],
-            scheme=[cell.scheme], schedule=[cell.schedule],
-            plan=[] if cell.plan is None else [cell.plan])
-        for flag in _FLAGS:
-            _flag(where, flag, getattr(cell, flag))
-        return cell
+        _object(config, "cell", cls)
+        where = "cell config"
+        app, params = _app((config["app"], config["app_params"]), where)
+        values = {key: decode(config[key], where)
+                  for decode, _axis, key in _FIELDS.values() if key in config}
+        return cls(app=app, app_params=params, **values)
 
     @property
     def key(self) -> str:
@@ -208,19 +223,14 @@ class SweepCell:
         return "/".join(parts)
 
 
-def _freeze_params(params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    if not isinstance(params, Mapping):
-        raise ValueError(f"app params {params!r} must map names to values")
-    return tuple(sorted(params.items()))
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A named grid of runs: the cross product of every axis below.
 
-    A value repeated on an axis is kept once, at its first position, so
-    no cell is simulated twice; a grid without repeats expands exactly
-    as written.
+    Every field is decoded through :data:`_FIELDS` at construction,
+    whether the spec came from JSON, a preset or code.  A value repeated
+    on an axis is kept once, at its first position, so no cell is
+    simulated twice; a grid without repeats expands exactly as written.
     """
 
     name: str
@@ -244,57 +254,42 @@ class SweepSpec:
     def build(name: str, apps: Sequence[Tuple[str, Mapping[str, Any]]],
               schemes: Sequence[str], **axes: Any) -> "SweepSpec":
         """Convenience constructor taking plain dicts/lists."""
-        frozen_apps = tuple((app, _freeze_params(params))
-                            for app, params in apps)
-        for key in _AXES:
-            if key in axes:
-                axes[key] = tuple(axes[key])
-        return SweepSpec(name=name, apps=frozen_apps,
-                         schemes=tuple(schemes), **axes)
+        return SweepSpec(name=name, apps=apps, schemes=schemes, **axes)
 
     def __post_init__(self) -> None:
-        where = f"spec {self.name!r}"
-        _check_outside_input(
-            where, self.apps, self.processors, self.seeds,
-            self.wait_bounds, scheme=self.schemes, schedule=self.schedules,
-            plan=[plan for plan in self.plans if plan is not None])
-        if not self.apps or not self.schemes:
-            raise ValueError(f"{where} has an empty grid")
-        for axis in _AXES:
-            if not getattr(self, axis):
-                raise ValueError(f"{where} has an empty {axis} axis")
-        for axis in ("apps", "schemes") + _AXES:
-            object.__setattr__(self, axis, _distinct(getattr(self, axis)))
+        named = isinstance(self.name, str)
+        where = f"spec {self.name!r}" if named else "spec"
+        for key, (decode, axis, _cell_key) in _FIELDS.items():
+            value = getattr(self, key)
+            if not axis:
+                value = decode(value, where)
+            elif not isinstance(value, (list, tuple, range)):
+                raise ValueError(f"{key} {value!r} in {where} must be a list")
+            elif not value:
+                raise ValueError(f"{where} has an empty grid: empty {key} "
+                                 f"axis")
+            else:
+                value = _distinct(decode(item, where) for item in value)
+            object.__setattr__(self, key, value)
 
     def cells(self) -> List[SweepCell]:
-        """Expand the grid in deterministic (nested-axis) order."""
-        out: List[SweepCell] = []
-        for app, params in self.apps:
-            for scheme in self.schemes:
-                for procs in self.processors:
-                    for schedule in self.schedules:
-                        for plan in self.plans:
-                            for seed in self.seeds:
-                                for bound in self.wait_bounds:
-                                    out.append(SweepCell(
-                                        app=app, app_params=params,
-                                        scheme=scheme, processors=procs,
-                                        schedule=schedule, seed=seed,
-                                        wait_bound=bound,
-                                        validate=self.validate,
-                                        plan=plan,
-                                        recover=self.recover and
-                                        plan is not None,
-                                        eliminate=self.eliminate))
-        return out
+        """Expand the grid in deterministic (nested-axis) order: the
+        last axis varies fastest."""
+        return [SweepCell(app=app, app_params=params, scheme=scheme,
+                          processors=procs, schedule=schedule, seed=seed,
+                          wait_bound=bound, validate=self.validate,
+                          plan=plan, recover=self.recover and plan is not None,
+                          eliminate=self.eliminate)
+                for (app, params), scheme, procs, schedule, plan, seed, bound
+                in itertools.product(self.apps, self.schemes,
+                                     self.processors, self.schedules,
+                                     self.plans, self.seeds, self.wait_bounds)]
 
     def with_seed_base(self, base: int) -> "SweepSpec":
         """The same grid with every seed shifted by ``base``."""
         if not base:
             return self
-        import dataclasses
-        return dataclasses.replace(
-            self, seeds=tuple(s + base for s in self.seeds))
+        return replace(self, seeds=tuple(s + base for s in self.seeds))
 
     def to_json(self) -> Dict[str, Any]:
         """JSON-able form, the inverse of :meth:`from_json`."""
@@ -318,26 +313,13 @@ class SweepSpec:
         """Load a spec from a dict, a JSON string, or a ``.json`` path.
 
         Keys outside :meth:`to_json`'s are rejected, so a misspelled
-        axis cannot silently fall back to its default, and so are flags
-        that are not JSON booleans.
+        axis cannot silently fall back to its default.
         """
         if isinstance(data, pathlib.Path):
             data = json.loads(data.read_text())
         elif isinstance(data, str):
             data = json.loads(data)
-        keys = ("name", "apps", "schemes") + _AXES + _FLAGS
-        unknown = sorted(set(data) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown spec key(s) {', '.join(unknown)}; "
-                             f"known: {', '.join(keys)}")
-        axes = {key: data[key] for key in _AXES if key in data}
-        for flag in _FLAGS:
-            if flag in data:
-                axes[flag] = _flag(f"spec {data.get('name')!r}", flag,
-                                   data[flag])
-        return cls.build(data["name"],
-                         [(app, params) for app, params in data["apps"]],
-                         data["schemes"], **axes)
+        return cls(**_object(data, "spec", cls))
 
 
 def _fig31_spec() -> SweepSpec:
@@ -415,3 +397,18 @@ def make_spec(name: str) -> SweepSpec:
     except KeyError:
         raise ValueError(f"unknown sweep preset {name!r}; known: "
                          f"{sweep_presets()}") from None
+
+
+def decode_spec(data: Any) -> Union[SweepSpec, List[SweepCell]]:
+    """Outside input naming work: a preset name, a spec object, or
+    ``{"cells": [...]}`` (the form a service journals a bare cell list
+    in).  Socket ``submit``, journaled job files and ``--spec`` tokens
+    all come through here; anything else raises :class:`ValueError`."""
+    if isinstance(data, str):
+        return make_spec(data)
+    if isinstance(data, Mapping) and "cells" in data:
+        if len(data) > 1 or not isinstance(data["cells"], list):
+            raise ValueError(f"cell list {dict(data)!r} must be an object "
+                             f"holding only a list under 'cells'")
+        return [SweepCell.from_config(config) for config in data["cells"]]
+    return SweepSpec.from_json(data)

@@ -88,6 +88,20 @@ def test_chaos_parse_round_trip():
         ExecutorChaos(crash_prob=1.5)
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])
+def test_chaos_rejects_a_hang_the_worker_cannot_sleep(seconds, capsys):
+    """``time.sleep`` raises on nan and inf, which would settle an
+    injected hang as an error attempt: only a finite hang >= 0 parses."""
+    with pytest.raises(ValueError,
+                       match=f"hang_seconds {float(seconds)} must be finite"):
+        ExecutorChaos.parse(f"hang=1,hang-seconds={seconds}")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--spec", "smoke", "--no-cache", "--chaos",
+              f"hang=1,hang-seconds={seconds}"])
+    assert exit_info.value.code == 2
+    assert "hang_seconds" in capsys.readouterr().err
+
+
 # -- executor semantics, no simulator involved ------------------------------
 
 

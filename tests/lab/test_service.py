@@ -9,11 +9,13 @@ every interrupted job recomputing nothing already paid for.
 
 from __future__ import annotations
 
+import json
 import threading
 
 from repro.lab import (CellDone, JobCancelled, JobDone, JobSubmitted,
                        ServiceClient, ServiceServer, SweepOptions,
-                       SweepService, SweepSpec, run_sweep)
+                       SweepService, SweepSpec, diagnose, run_sweep)
+from repro.lab.service import JOB_FILE_VERSION
 from repro.lab.store import JOBS_DIR
 
 import pytest
@@ -187,6 +189,36 @@ def test_drain_interrupts_and_restart_resumes_without_recompute(tmp_path):
     assert not job_file.exists()
 
 
+@pytest.mark.parametrize("refused", [
+    {"spec": dict(n_grid((10,)).to_json(), schemes="process-oriented")},
+    {"job": ["job-000002"]},
+    {"job": "job-000001"},
+    "{torn",
+], ids=["bad-spec", "list-job-id", "job-id-of-another-file", "torn-json"])
+def test_restart_quarantines_a_job_file_it_cannot_decode(tmp_path, refused):
+    """A journaled job file whose spec or job id is refused is moved
+    under ``quarantine/``: no restart re-reads it and ``doctor`` counts
+    it as quarantined, not pending forever.  The good job beside it
+    resumes."""
+    cache_dir = tmp_path / "cache"
+    jobs_dir = cache_dir / JOBS_DIR
+    jobs_dir.mkdir(parents=True)
+    good = {"job_file_version": JOB_FILE_VERSION, "job": "job-000001",
+            "spec": n_grid((10,)).to_json()}
+    (jobs_dir / "job-000001.json").write_text(json.dumps(good))
+    (jobs_dir / "job-000002.json").write_text(
+        refused if isinstance(refused, str)
+        else json.dumps({**good, "job": "job-000002", **refused}))
+
+    with SweepService(SweepOptions(procs=1, cache_dir=cache_dir)) as service:
+        assert [row["job"] for row in service.status()] == ["job-000001"]
+        assert not service.handle("job-000001").result(timeout=60).failed
+    assert not list(jobs_dir.glob("*.json"))
+    assert (cache_dir / "quarantine" / "job-000002.json").exists()
+    counts = diagnose(cache_dir).counts
+    assert (counts["pending_jobs"], counts["quarantined"]) == (0, 1)
+
+
 # -- the socket surface ---------------------------------------------------
 
 
@@ -228,5 +260,11 @@ def test_socket_round_trip_submit_watch_result_cancel(tmp_path):
         # ...and so is an app param its builder does not take
         bad = dict(n_grid((10,)).to_json(), apps=[["fig2.1", {"m": 3}]])
         with pytest.raises(ServiceError, match="unknown param m=3"):
+            client.submit(bad)
+        # ...and so is a scalar where a list belongs, named whole
+        bad = dict(n_grid((10,)).to_json(), schemes="process-oriented")
+        with pytest.raises(ServiceError,
+                           match="schemes 'process-oriented' in spec 'svc' "
+                                 "must be a list"):
             client.submit(bad)
         assert len(client.status()) == 1

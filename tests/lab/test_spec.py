@@ -86,6 +86,15 @@ def _spec_json(**fields):
      "unknown param bogus=3 of app 'fig2.1' in spec 'bad'; known: n, cost"),
     ({"apps": [["fig2.1", {"n": 8}], ["adi", {"k": 2}]]},
      "unknown param k=2 of app 'adi'"),
+    # a scalar where a list belongs is named whole, never iterated
+    ({"schemes": "process-oriented"},
+     "schemes 'process-oriented' in spec 'bad' must be a list"),
+    ({"processors": 4}, "processors 4 in spec 'bad' must be a list"),
+    ({"seeds": "01"}, "seeds '01' in spec 'bad' must be a list"),
+    ({"apps": [["fig2.1"]]},
+     "app ['fig2.1'] in spec 'bad' must be an [app, params] pair"),
+    ({"apps": {"fig2.1": {}}}, "apps {'fig2.1': {}} in spec 'bad' must be"),
+    ({"name": 5}, "name 5 in spec must be a string"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_spec_rejects_bad_outside_input(fields, message):
     """Spec JSON comes from ``sweep --spec FILE.json`` and service
@@ -124,6 +133,9 @@ def _cell_config(**fields):
     ({"app_params": {"n": False}}, "param n=False of app 'fig2.1'"),
     ({"app_params": {"n": [1, 2]}}, "param n=[1, 2] of app 'fig2.1'"),
     ({"app_params": {"bogus": 3}}, "unknown param bogus=3 of app 'fig2.1'"),
+    ({"app": ["fig2.1"]}, "unknown app ['fig2.1'] in cell"),
+    ({"schedule": ["self"]}, "unknown schedule ['self'] in cell"),
+    ({"app_params": []}, "app params [] must map"),
 ], ids=lambda value: str(value) if isinstance(value, str) else None)
 def test_cell_config_rejects_bad_outside_input(fields, message):
     """Cell configs come from service ``{"cells": [...]}`` submissions
@@ -191,6 +203,18 @@ def test_grids_without_repeats_expand_as_written():
     assert [(c.scheme, c.processors) for c in two.cells()] == [
         ("statement-oriented", 8), ("statement-oriented", 2),
         ("process-oriented", 8), ("process-oriented", 2)]
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "spec [] must be an object"),
+    (7, "spec 7 must be an object"),
+    ({"apps": [["fig2.1", {"n": 8}]], "schemes": ["process-oriented"]},
+     "spec is missing required key(s) name"),
+], ids=["list", "number", "no-name"])
+def test_spec_must_be_an_object_with_a_name(data, message):
+    with pytest.raises(ValueError) as info:
+        SweepSpec.from_json(data)
+    assert message in str(info.value)
 
 
 def test_cell_config_must_be_an_object():

@@ -403,6 +403,43 @@ def test_sweep_rejects_bad_app_params_before_any_cell(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+_SPEC = {"name": "bad", "apps": [["fig2.1", {"n": 8}]],
+         "schemes": ["process-oriented"]}
+
+
+@pytest.mark.parametrize("body, message", [
+    ([], "spec [] must be an object"),
+    (7, "spec 7 must be an object"),
+    ({"apps": _SPEC["apps"], "schemes": _SPEC["schemes"]},
+     "spec is missing required key(s) name"),
+    (dict(_SPEC, name=5), "name 5 in spec must be a string"),
+    (dict(_SPEC, schemes="process-oriented"),
+     "schemes 'process-oriented' in spec 'bad' must be a list"),
+    (dict(_SPEC, processors=4), "processors 4 in spec 'bad' must be a list"),
+    (dict(_SPEC, seeds="01"), "seeds '01' in spec 'bad' must be a list"),
+    (dict(_SPEC, apps=[["fig2.1"]]), "app ['fig2.1'] in spec 'bad'"),
+    (dict(_SPEC, apps={"fig2.1": {}}), "apps {'fig2.1': {}} in spec 'bad'"),
+], ids=["list", "number", "no-name", "int-name", "scalar-schemes",
+        "scalar-processors", "string-seeds", "short-app", "object-apps"])
+def test_sweep_spec_file_names_its_bad_key_or_value(tmp_path, capsys,
+                                                    monkeypatch, body,
+                                                    message):
+    """A spec file of the wrong shape is exit 2 naming the offending key
+    or value, before any cell runs."""
+    import repro.lab
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("a sweep ran despite a bad spec")
+
+    monkeypatch.setattr(repro.lab, "run_sweep", never)
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(body))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--spec", str(spec), "--no-cache"])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bench_rejects_inputs_that_disable_the_gate(capsys):
     """``--min-ratio`` <= 0 would make ``--check`` unable to fail and
     ``--repeat`` <= 0 would silently run once: both are parser errors,
