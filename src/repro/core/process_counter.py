@@ -22,7 +22,7 @@ sizing rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..sim.ops import SyncWrite
 from ..sim.sync_bus import SyncFabric
@@ -31,16 +31,26 @@ from ..sim.sync_bus import SyncFabric
 PCValue = Tuple[int, int]
 
 
-def pc_at_least(target: PCValue):
+def pc_at_least(target: PCValue) -> Callable[[PCValue], bool]:
     """Predicate factory: committed PC value >= ``target``.
 
     Python tuple comparison is exactly the paper's ordering on
     ``<owner, step>`` pairs.  The predicate is monotone because a PC is
     only ever increased (step bumps, then ownership moves forward).
+    Memoized by target, as :func:`repro.sim.ops.at_least` is, so every
+    wait on one PC value shares one predicate across folds and loops.
     """
-    def predicate(value: PCValue) -> bool:
-        return value >= target
+    predicate = _PC_AT_LEAST.get(target)
+    if predicate is None:
+        def predicate(value: PCValue, _target: PCValue = target) -> bool:
+            return value >= _target
+        _PC_AT_LEAST[target] = predicate
     return predicate
+
+
+#: target -> predicate memo; targets are (pid, step) pairs bounded by
+#: the largest loop a process has instrumented
+_PC_AT_LEAST: Dict[PCValue, Callable[[PCValue], bool]] = {}
 
 
 @dataclass

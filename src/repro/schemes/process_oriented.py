@@ -19,7 +19,7 @@ possible.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core.branches import StepCursor
 from ..core.codegen import SyncPlan, build_sync_plan
@@ -35,7 +35,24 @@ from ..sim.cache_fabric import CachedSyncFabric
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
-                   compile_statement)
+                   statement_instances)
+
+
+def fold_waits(loop: Loop, n_counters: int,
+               first_pid: int) -> Dict[Tuple[int, int, int], WaitUntil]:
+    """The loop's ``WaitUntil`` memo for one fold, keyed ``(pid, dist, step)``.
+
+    A wait op depends on its key and on the fold (which counter slot
+    the source iteration's PC lives in), so the memo holds one fold's
+    ops only: asking for another fold replaces the table.  A search
+    that walks the folds one after another then keeps one fold's ops
+    alive, not every fold's.
+    """
+    fold = (n_counters, first_pid)
+    held = loop.__dict__.get("_fold_waits")
+    if held is None or held[0] != fold:
+        held = loop.__dict__["_fold_waits"] = (fold, {})
+    return held[1]
 
 
 class ProcessOrientedLoop(InstrumentedLoop):
@@ -62,27 +79,35 @@ class ProcessOrientedLoop(InstrumentedLoop):
         return self.plan.arcs
 
     def _compile(self, pid: int) -> list:
-        """``(waits, executed, compiled, stmt_plan)`` per plan statement."""
-        index = self.loop.index_of_lpid(pid)
+        """``(waits, compiled, stmt_plan)`` per plan statement.
+
+        ``compiled`` is None where the guard skips the statement.  Wait
+        ops come from the loop's memo for this fold (see
+        :func:`fold_waits`), so placements of one loop that share a
+        fold share their ``WaitUntil`` objects.
+        """
         first_pid = self.counters.first_pid
         n = self.counters.n_counters
+        memo = fold_waits(self.loop, n, first_pid)
+        instances = statement_instances(self.loop, pid)
         program = []
         for stmt_plan in self.plan.statements:
-            stmt = self.loop.statement(stmt_plan.sid)
             waits = []
             for wait in stmt_plan.waits:
                 source = pid - wait.dist
                 if source < first_pid:
                     # loop-boundary sink: no source iteration, no wait
                     continue
-                waits.append(WaitUntil(
-                    (source - first_pid) % n,
-                    pc_at_least((source, wait.step)),
-                    reason=f"wait_PC({wait.dist},{wait.step}) by p{pid}"))
-            executed = stmt.executes_at(index)
-            compiled = (compile_statement(self.loop, stmt, index, pid)
-                        if executed else None)
-            program.append((tuple(waits), executed, compiled, stmt_plan))
+                key = (pid, wait.dist, wait.step)
+                op = memo.get(key)
+                if op is None:
+                    op = memo[key] = WaitUntil(
+                        (source - first_pid) % n,
+                        pc_at_least((source, wait.step)),
+                        reason=f"wait_PC({wait.dist},{wait.step}) by p{pid}")
+                waits.append(op)
+            program.append((tuple(waits), instances[stmt_plan.sid],
+                            stmt_plan))
         return program
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
@@ -161,7 +186,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
             acquired = bool(checkpoint.get("acquired"))
             primitives.owned = bool(checkpoint.get("owned"))
             primitives.last_step = checkpoint.get("last_step", 0)
-        for stmt_pos, (waits, executed, compiled,
+        for stmt_pos, (waits, compiled,
                        stmt_plan) in enumerate(self._programs[pid]):
             replay_skip = stmt_pos < skip_stmt
             if not replay_skip:
@@ -189,7 +214,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
             # the step is published.  (No outstanding writes: free.)
             if not replay_skip:
                 yield _FENCE
-            step = cursor.advance(executed)
+            step = cursor.advance(compiled is not None)
             if replay_skip:
                 continue  # signal landed pre-crash; cursor stays in sync
             last = stmt_plan.is_last_source

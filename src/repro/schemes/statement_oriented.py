@@ -32,7 +32,7 @@ from ..sim.ops import MemWrite, SyncWrite, WaitUntil, at_least
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
-                   compile_statement)
+                   loop_memo, statement_instances)
 
 
 class StatementOrientedLoop(InstrumentedLoop):
@@ -78,6 +78,15 @@ class StatementOrientedLoop(InstrumentedLoop):
 
     # ------------------------------------------------------------------
 
+    def recompile(self) -> None:
+        #: each body statement's incoming arcs, in arc order: one scan
+        #: of the arcs per placement, rebuilt with the programs
+        self._incoming = {
+            stmt.sid: tuple(arc for arc in self.arcs
+                            if arc.dst == stmt.sid)
+            for stmt in self.loop.body}
+        super().recompile()
+
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s op stream (see ``_sc_vars`` note).
 
@@ -85,29 +94,43 @@ class StatementOrientedLoop(InstrumentedLoop):
         where ``awaits`` is the tuple of Await ops, ``compiled`` the
         statement instance's compiled stream (None when the guard skips
         it) and ``advance`` the ``(wait, write)`` Advance pair (None for
-        non-sources).  :meth:`_body` walks it.
+        non-sources).  :meth:`_body` walks it.  Placements of one loop
+        share their ops: Awaits are memoized on the loop by ``(var, pid,
+        distance, src)`` and Advance pairs by ``(var, pid, sid)``, the
+        counter variable included because a placement whose arcs drop
+        a source numbers the remaining counters differently.
         """
-        index = self.loop.index_of_lpid(pid)
+        awaits_memo = loop_memo(self.loop, "_await_ops")
+        advance_memo = loop_memo(self.loop, "_advance_ops")
+        instances = statement_instances(self.loop, pid)
+        sc_vars = self._sc_vars
+        floor = self._first_pid
         program = []
         for stmt in self.loop.body:
-            awaits = tuple(
-                WaitUntil(self._sc_vars[arc.src],
-                          at_least(pid - arc.distance),
-                          reason=f"Await({arc.distance},{arc.src}) "
-                                 f"by p{pid}")
-                for arc in self.arcs
-                if arc.dst == stmt.sid
-                and pid - arc.distance >= self._first_pid)
-            compiled = (compile_statement(self.loop, stmt, index, pid)
-                        if stmt.executes_at(index) else None)
+            awaits = []
+            for arc in self._incoming[stmt.sid]:
+                if pid - arc.distance < floor:
+                    continue
+                var = sc_vars[arc.src]
+                key = (var, pid, arc.distance, arc.src)
+                op = awaits_memo.get(key)
+                if op is None:
+                    op = awaits_memo[key] = WaitUntil(
+                        var, at_least(pid - arc.distance),
+                        reason=f"Await({arc.distance},{arc.src}) "
+                               f"by p{pid}")
+                awaits.append(op)
             advance = None
-            if stmt.sid in self._sc_vars:
-                var = self._sc_vars[stmt.sid]
-                advance = (
-                    WaitUntil(var, at_least(pid - 1),
-                              reason=f"Advance({stmt.sid}) by p{pid}"),
-                    SyncWrite(var, pid, coverable=False))
-            program.append((awaits, compiled, advance))
+            var = sc_vars.get(stmt.sid)
+            if var is not None:
+                key = (var, pid, stmt.sid)
+                advance = advance_memo.get(key)
+                if advance is None:
+                    advance = advance_memo[key] = (
+                        WaitUntil(var, at_least(pid - 1),
+                                  reason=f"Advance({stmt.sid}) by p{pid}"),
+                        SyncWrite(var, pid, coverable=False))
+            program.append((tuple(awaits), instances[stmt.sid], advance))
         return program
 
     def _body(self, pid: int,

@@ -8,8 +8,8 @@ is instrumented with every scheme and both streams of every iteration
 are driven engine-free and compared.
 
 Ops are compared by their observable fields, not by identity: the
-process-counter primitives build a fresh ``pc_at_least`` predicate on
-every call, so two identical streams hold distinct wait objects.
+process-counter primitives build a fresh ``WaitUntil`` on every call,
+so two identical streams hold distinct wait objects.
 """
 
 from __future__ import annotations

@@ -264,3 +264,44 @@ def test_wrong_step_number_detected():
     result = machine().run(instrumented)
     with pytest.raises(ValidationError):
         instrumented.validate(result)
+
+
+@pytest.mark.parametrize("make_scheme", [
+    lambda: ProcessOrientedScheme(processors=8),
+    lambda: ProcessOrientedScheme(processors=8, n_counters=4),
+    StatementOrientedScheme,
+], ids=["process-oriented", "process-oriented-x4", "statement-oriented"])
+def test_recompile_after_mutation_equals_fresh_instrument(make_scheme):
+    """Placements of one loop share ops through memos on the loop.
+    Rewriting a placement's arcs (and plan) and recompiling must build
+    what a fresh instrument of the rewritten arcs on a fresh loop
+    builds: the rewrite misses the warm memos, never hits a stale op."""
+    from dataclasses import replace
+
+    from repro.core.codegen import build_sync_plan
+
+    from ..analyze.test_optimize_trials import op_streams
+
+    loop = fig21_loop(n=30, cost=1)
+    scheme = make_scheme()
+    instrumented = scheme.instrument(loop)
+    arcs = list(instrumented.arcs)
+    # warm the loop's memos with a second placement of the same loop
+    scheme.instrument(loop, arcs=arcs[1:])
+    # keep every source (the counter layout is fixed at instrument
+    # time) but drop one arc and stretch the distance of another
+    rewritten = [replace(arc, distance=arc.distance + 1)
+                 if arc is arcs[0] else arc
+                 for arc in arcs if (arc.src, arc.dst) != ("S1", "S3")]
+    assert len(rewritten) == len(arcs) - 1
+    if hasattr(instrumented, "plan"):
+        instrumented.plan = build_sync_plan(loop, instrumented.graph,
+                                            arcs=rewritten)
+    else:
+        instrumented.arcs = rewritten
+    instrumented.recompile()
+    fresh_loop = fig21_loop(n=30, cost=1)
+    fresh = make_scheme().instrument(fresh_loop, arcs=rewritten)
+    assert op_streams(instrumented) == op_streams(fresh)
+    assert op_streams(instrumented) != op_streams(
+        make_scheme().instrument(fresh_loop, arcs=arcs))
