@@ -207,10 +207,11 @@ class SweepJournal:
     def append(self, entry: Mapping[str, Any]) -> None:
         """Flush + fsync one cell-event line to the trail.
 
-        The fsync is what lets a journal line mean "this work is
-        durably accounted for" to a reader arriving right after the
-        writer was SIGKILLed; O_APPEND keeps concurrent writers'
-        lines whole.
+        A reader arriving right after the writer was SIGKILLed sees the
+        line already: once appended it sits in the page cache.  The
+        fsync is what lets it mean "this work is durably accounted
+        for" across a power loss or an OS crash.  O_APPEND keeps
+        concurrent writers' lines whole.
         """
         durable_append_line(self.path, canonical_dumps(dict(entry)))
 

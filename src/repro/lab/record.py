@@ -24,6 +24,7 @@ serial, parallel and cached executions of the same grid.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
@@ -108,15 +109,73 @@ def record_is_current(record: Mapping[str, Any]) -> bool:
             and record.get("extra_schema_version") == EXTRA_SCHEMA_VERSION)
 
 
+#: per store path (absolute), the rendered chunk of every record in the
+#: store this process last wrote there, keyed by record key; see
+#: :func:`merge_records` for when they may be reused
+_STORE_CHUNKS: Dict[str, Dict[str, str]] = {}
+
+
+def _render_record(key: str, record: Mapping[str, Any]) -> str:
+    """One record's entry, ``"key": {...}``, as the store file nests it."""
+    body = json.dumps(dict(record), sort_keys=True, indent=1,
+                      ensure_ascii=True)
+    # JSON escapes newlines inside strings, so each "\n" is a line break
+    # of the encoder's; the entry sits two indent levels into the store
+    return "  " + json.dumps(key) + ": " + body.replace("\n", "\n  ")
+
+
+def _render_store(chunks: Mapping[str, str]) -> str:
+    """The store file holding the entries ``chunks``, byte for byte
+    ``json.dumps(store, sort_keys=True, indent=1, ensure_ascii=True) +
+    "\\n"``: the entries in sorted key order inside the fixed envelope.
+    """
+    tail = f' "schema_version": {RECORD_SCHEMA_VERSION}\n}}\n'
+    if not chunks:
+        return '{\n "records": {},\n' + tail
+    return ('{\n "records": {\n'
+            + ",\n".join(chunks[key] for key in sorted(chunks))
+            + "\n },\n" + tail)
+
+
+def _parse_chunks(path: pathlib.Path, data: bytes) -> Dict[str, str]:
+    """Render each current record of the store file ``data``.
+
+    Raises :class:`ValueError` naming ``path`` when ``data`` is not a
+    record store; stale-schema records are dropped.
+    """
+    try:
+        previous = json.loads(data) if data else {}
+    except ValueError as err:
+        raise ValueError(f"record store {path} is unreadable ({err}); "
+                         f"not merging") from None
+    if not (isinstance(previous, dict)
+            and isinstance(previous.get("records", {}), dict)):
+        raise ValueError(f"record store {path} is not an object with "
+                         f"a \"records\" object; not merging")
+    return {key: _render_record(key, record)
+            for key, record in previous.get("records", {}).items()
+            if record_is_current(record)}
+
+
 def merge_records(path: pathlib.Path,
-                  records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+                  records: Sequence[Mapping[str, Any]]) -> None:
     """Merge ``records`` into the versioned store at ``path``.
 
     The store maps record key -> record.  Existing records with a stale
     schema version are dropped (detected, not mixed); fresh records
-    replace same-key predecessors.  The file is written with sorted
-    keys and a trailing newline, so identical record sets produce
+    replace same-key predecessors.  The file is
+    ``json.dumps(store, sort_keys=True, indent=1, ensure_ascii=True)``
+    plus a trailing newline, so identical record sets produce
     byte-identical files regardless of how the sweep was executed.
+
+    A merge costs O(new records), not O(store): each record is
+    rendered to its text once, and the file is those texts joined in
+    sorted key order inside the fixed envelope.  The process keeps each
+    store path's rendered records between merges and reuses them only
+    when the file's bytes, read under the lock, are exactly the ones
+    it last wrote there; any other bytes (another process merged, a
+    foreign rewrite) are parsed and rendered afresh.  A merge that
+    changes no byte writes nothing.
 
     A missing or empty file is an empty store.  A file that is not a
     store -- unparsable text, or JSON whose top level or ``records`` is
@@ -137,24 +196,29 @@ def merge_records(path: pathlib.Path,
     from .store import StoreLock, durable_write_text
 
     path = pathlib.Path(path)
-    store: Dict[str, Any] = {"schema_version": RECORD_SCHEMA_VERSION,
-                             "records": {}}
+    memo_key = os.path.abspath(path)
     with StoreLock(path.with_name(path.name + ".lock")):
+        # the lock serializes every merge into this path, threads of
+        # this process included, so no one else touches this entry; it
+        # is put back only once the file holds what it renders
+        chunks = _STORE_CHUNKS.pop(memo_key, None)
         try:
-            text = path.read_text() if path.exists() else ""
-            previous = json.loads(text) if text else {}
-        except (OSError, ValueError) as err:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        except OSError as err:
             raise ValueError(f"record store {path} is unreadable ({err}); "
                              f"not merging") from None
-        if not (isinstance(previous, dict)
-                and isinstance(previous.get("records", {}), dict)):
-            raise ValueError(f"record store {path} is not an object with "
-                             f"a \"records\" object; not merging")
-        for key, record in previous.get("records", {}).items():
-            if record_is_current(record):
-                store["records"][key] = record
+        if chunks is None or _render_store(chunks).encode() != data:
+            chunks = _parse_chunks(path, data)
+        current = True
         for record in records:
-            store["records"][record["key"]] = dict(record)
-        durable_write_text(path, json.dumps(store, sort_keys=True, indent=1,
-                                            ensure_ascii=True) + "\n")
-    return store
+            chunks[record["key"]] = _render_record(record["key"], record)
+            current = current and record_is_current(record)
+        text = _render_store(chunks)
+        if text.encode() != data:
+            durable_write_text(path, text)
+        # a stale record in the batch is written, but the next merge
+        # must drop it like any stale record, and only a parse does that
+        if current:
+            _STORE_CHUNKS[memo_key] = chunks

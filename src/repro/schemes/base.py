@@ -124,6 +124,24 @@ def loop_pids(loop: Loop) -> Tuple[int, ...]:
     return pids
 
 
+def sequential_reference(loop: Loop, initial: Dict[Address, Any]
+                         ) -> Tuple[Dict[Address, Any],
+                                    Dict[Tuple[str, int], List[Any]]]:
+    """``loop.execute_sequential(initial)``, computed once per loop and
+    initial memory and memoized on the loop.
+
+    Every validation of a placement of the loop (an optimizer's
+    admission replay, the cell's own run) checks against the same
+    reference.  Callers only read it.
+    """
+    memo = loop_memo(loop, "_sequential")
+    key = frozenset(initial.items())
+    reference = memo.get(key)
+    if reference is None:
+        reference = memo[key] = loop.execute_sequential(initial)
+    return reference
+
+
 def statement_instances(loop: Loop, lpid: int
                         ) -> Dict[str, Optional[CompiledStatement]]:
     """Iteration ``lpid``'s compiled statement instances by sid, None
@@ -336,8 +354,8 @@ class InstrumentedLoop(Workload):
         divergence.  Requires a run with ``metrics="full"`` (the
         default), which records the access trace.
         """
-        expected_final, expected_reads = self.loop.execute_sequential(
-            self.initial_memory())
+        expected_final, expected_reads = sequential_reference(
+            self.loop, self.initial_memory())
         if result.extra.get("recovery", {}).get("reincarnations"):
             # Crash replay legitimately duplicates tagged accesses; the
             # relaxed check still pins every read to sequential values.

@@ -11,6 +11,7 @@ from repro.lab.cache import source_fingerprint
 from repro.lab.store import open_envelope, seal_record
 from repro.lab.record import (RECORD_SCHEMA_VERSION, merge_records,
                               record_is_current)
+from repro.sim.metrics import EXTRA_SCHEMA_VERSION
 
 
 def tiny_spec(n=10):
@@ -107,11 +108,18 @@ def test_merge_overwrites_same_key(tmp_path):
     '{"records": {"a": {"key": "a"}}, "schema_ver',
     '[1, 2]',
     '{"records": [1], "schema_version": 1}',
-], ids=["truncated", "array", "records-array"])
+    None,
+], ids=["truncated", "array", "records-array", "same-length-garbage"])
 def test_merge_refuses_a_store_it_cannot_read(tmp_path, text):
     """A store that is not a record store is named and left byte for
-    byte as it was, never replaced by the new records alone."""
+    byte as it was, never replaced by the new records alone -- also
+    when this process merged into it before the rewrite."""
     store_path = tmp_path / "store.json"
+    merge_records(store_path, [dict(
+        key="first", outcome="ok", schema_version=RECORD_SCHEMA_VERSION,
+        extra_schema_version=EXTRA_SCHEMA_VERSION)])
+    if text is None:  # the bytes just written, torn at the end
+        text = store_path.read_text()[:-2] + "x\n"
     store_path.write_text(text)
     for records in ([], [{"key": "k", "outcome": "ok"}]):
         with pytest.raises(ValueError, match=str(store_path)):

@@ -13,8 +13,10 @@ import pytest
 
 from repro.depend import graph as graph_module
 from repro.depend.graph import DependenceGraph
+from repro.depend.model import Loop
 from repro.lab import SweepCell
 from repro.lab.runner import execute_cell
+from repro.schemes.base import InstrumentedLoop
 
 
 def _cell(scheme: str, eliminate: bool) -> SweepCell:
@@ -46,3 +48,28 @@ def test_optimizer_column_and_run_share_one_enumeration(monkeypatch, scheme):
     assert record["outcome"] == "ok"
     assert record["metrics"]["elimination"]["supported"]
     assert len(enumerated) == 1
+
+
+@pytest.mark.parametrize("scheme", ["statement-oriented", "process-oriented"])
+def test_an_eliminate_cell_computes_one_sequential_reference_per_loop(
+        monkeypatch, scheme):
+    """The optimizer's admission replay and the cell's own run validate
+    against one sequential execution of the loop."""
+    computed, validated = [], []
+    real_sequential = Loop.execute_sequential
+    real_validate = InstrumentedLoop.validate
+
+    def counted_sequential(loop, initial=None):
+        computed.append(id(loop))
+        return real_sequential(loop, initial)
+
+    def counted_validate(instrumented, result):
+        validated.append(id(instrumented.loop))
+        return real_validate(instrumented, result)
+    monkeypatch.setattr(Loop, "execute_sequential", counted_sequential)
+    monkeypatch.setattr(InstrumentedLoop, "validate", counted_validate)
+    record = execute_cell(_cell(scheme, eliminate=True).config())
+    assert record["outcome"] == "ok"
+    assert record["metrics"]["elimination"]["supported"]
+    assert len(validated) > len(set(validated))
+    assert sorted(computed) == sorted(set(validated))
