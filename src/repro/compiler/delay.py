@@ -78,7 +78,7 @@ def statement_offsets(loop: Loop) -> Dict[str, Tuple[int, int]]:
     data-dependent costs make the analysis approximate, as it is in a
     real compiler.
     """
-    first = loop.iteration_space()[0]
+    first = loop.index_of_lpid(1)
     offsets: Dict[str, Tuple[int, int]] = {}
     clock = 0
     for stmt in loop.body:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..depend.model import Loop
-from ..schemes.base import execute_statement, precompile_statements
+from ..schemes.base import loop_pids, statement_instances
 from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
@@ -40,18 +40,19 @@ class SerialLoopWorkload(Workload):
         self.loop = loop
         self.seed_memory = dict(seed_memory or {})
         self.iterations = [0]
-        precompile_statements(loop)
+        #: every executed statement instance in sequential order,
+        #: compiled here so no op is built while the clock runs
+        self.instances = [
+            compiled for lpid in loop_pids(loop)
+            for compiled in statement_instances(loop, lpid).values()
+            if compiled is not None]
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         return BroadcastSyncFabric()
 
     def make_process(self, _iteration: int) -> Generator:
-        for index in self.loop.iteration_space():
-            lpid = self.loop.lpid(index)
-            for stmt in self.loop.body:
-                if stmt.executes_at(index):
-                    yield from execute_statement(self.loop, stmt, index,
-                                                 lpid)
+        for compiled in self.instances:
+            yield from compiled.stream()
 
     def initial_memory(self) -> Dict[Address, Any]:
         return dict(self.seed_memory)

@@ -222,27 +222,34 @@ class DependenceGraph:
     def _enumerate_instances(self) -> List[DependenceInstance]:
         kinds = {"flow": ("W", "R"), "anti": ("R", "W"),
                  "output": ("W", "W")}
+        fields = {"R": "reads", "W": "writes"}
+        rows = self.loop.lowered()
+        row_at = {row.index: row for row in rows}
         instances: List[DependenceInstance] = []
         for dep in self.dependences:
             if dep.distance is None:
                 continue
-            delta = dep.distance
-            src_stmt = self.loop.statement(dep.src)
-            dst_stmt = self.loop.statement(dep.dst)
             src_kind, dst_kind = kinds[dep.dep_type]
-            for index in self.loop.iteration_space():
-                source_index = tuple(i - d for i, d in zip(index, delta))
-                if not self.loop.in_bounds(source_index):
-                    continue
-                if not src_stmt.executes_at(source_index):
-                    continue
-                if not dst_stmt.executes_at(index):
-                    continue
-                addr = self.loop.address_of(dep.dst_ref, index)
-                if addr != self.loop.address_of(dep.src_ref, source_index):
+            src_field, dst_field = fields[src_kind], fields[dst_kind]
+            # an endpoint's address is its ref's slot in the lowered
+            # statement's read or write tuple
+            src_pos = self.loop.position(dep.src)
+            dst_pos = self.loop.position(dep.dst)
+            src_slot = getattr(self.loop.body[src_pos],
+                               src_field).index(dep.src_ref)
+            dst_slot = getattr(self.loop.body[dst_pos],
+                               dst_field).index(dep.dst_ref)
+            for row in rows:
+                sink = row.statements[dst_pos]
+                source_row = row_at.get(
+                    tuple(i - d for i, d in zip(row.index, dep.distance)))
+                source = source_row and source_row.statements[src_pos]
+                if sink is None or source is None:
+                    continue  # a guard skips an endpoint, or no source row
+                addr = getattr(sink, dst_field)[dst_slot]
+                if addr != getattr(source, src_field)[src_slot]:
                     continue  # distinct elements (defensive; cannot happen)
                 instances.append((
-                    (dep.src, self.loop.lpid(source_index)),
-                    (dep.dst, self.loop.lpid(index)),
+                    (dep.src, source_row.lpid), (dep.dst, row.lpid),
                     addr, src_kind, dst_kind))
         return instances

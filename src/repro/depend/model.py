@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from ..sim.ops import Address
 from ..sim.validate import mix
@@ -138,6 +139,26 @@ class Statement:
             yield "R", ref
 
 
+class LoweredStatement(NamedTuple):
+    """One executed statement instance: the flat addresses it reads and
+    writes, in declaration order, and its computation cycles."""
+
+    sid: str
+    reads: Tuple[Address, ...]
+    writes: Tuple[Address, ...]
+    cost: int
+
+
+class LoweredRow(NamedTuple):
+    """One iteration of a lowered loop (see :meth:`Loop.lowered`):
+    ``statements`` has one entry per body statement, in textual order,
+    None where the statement's guard skips it."""
+
+    index: Index
+    lpid: int
+    statements: Tuple[Optional[LoweredStatement], ...]
+
+
 @dataclass
 class Loop:
     """A perfect nest of ``DO`` loops with a straight-line (possibly
@@ -250,8 +271,30 @@ class Loop:
         raise KeyError(f"no statement {sid!r} in loop {self.name!r}")
 
     # ------------------------------------------------------------------
-    # sequential reference execution
+    # lowering and sequential reference execution
     # ------------------------------------------------------------------
+
+    def lowered(self) -> Tuple[LoweredRow, ...]:
+        """Every iteration in sequential order (row ``k`` is lpid
+        ``k + 1``), with each executed statement's addresses and cost.
+
+        The one place guards, process ids and subscripts are evaluated;
+        every consumer reads these rows.  Kept on the loop, so it lives
+        and dies with the loop.
+        """
+        rows = self.__dict__.get("_lowered")
+        if rows is None:
+            rows = self.__dict__["_lowered"] = tuple(
+                LoweredRow(index, lpid, tuple(
+                    LoweredStatement(
+                        stmt.sid,
+                        tuple(self.address_of(r, index) for r in stmt.reads),
+                        tuple(self.address_of(r, index) for r in stmt.writes),
+                        stmt.cost_at(index))
+                    if stmt.executes_at(index) else None
+                    for stmt in self.body))
+                for lpid, index in enumerate(self.iteration_space(), 1))
+        return rows
 
     def execute_sequential(
             self, initial: Optional[Dict[Address, Any]] = None
@@ -263,27 +306,22 @@ class Loop:
         """
         memory: Dict[Address, Any] = dict(initial or {})
         reads_by_tag: Dict[Tuple[str, int], List[Any]] = {}
-        for index in self.iteration_space():
-            lpid = self.lpid(index)
-            for stmt in self.body:
-                if not stmt.executes_at(index):
+        for row in self.lowered():
+            for stmt in row.statements:
+                if stmt is None:
                     continue
-                values = [memory.get(self.address_of(ref, index))
-                          for ref in stmt.reads]
-                reads_by_tag[(stmt.sid, lpid)] = values
-                result = mix(stmt.sid, lpid, values)
-                for ref in stmt.writes:
-                    memory[self.address_of(ref, index)] = result
+                values = [memory.get(addr) for addr in stmt.reads]
+                reads_by_tag[(stmt.sid, row.lpid)] = values
+                result = mix(stmt.sid, row.lpid, values)
+                for addr in stmt.writes:
+                    memory[addr] = result
         return memory, reads_by_tag
 
     def serial_cycles(self, per_access: int = 0) -> int:
         """Computation cycles of a one-processor execution (lower bound
         used for speedup baselines); ``per_access`` adds a fixed cost per
         memory reference."""
-        total = 0
-        for index in self.iteration_space():
-            for stmt in self.body:
-                if stmt.executes_at(index):
-                    total += stmt.cost_at(index)
-                    total += per_access * (len(stmt.reads) + len(stmt.writes))
-        return total
+        return sum(stmt.cost
+                   + per_access * (len(stmt.reads) + len(stmt.writes))
+                   for row in self.lowered() for stmt in row.statements
+                   if stmt is not None)

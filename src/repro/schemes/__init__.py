@@ -9,8 +9,7 @@ interface:
 * ``process-oriented`` -- the paper's proposal: folded process counters
 """
 
-from .base import (InstrumentedLoop, RunConfig, SyncScheme, bound_waits,
-                   execute_statement)
+from .base import InstrumentedLoop, RunConfig, SyncScheme, bound_waits
 from .instance_based import (InstanceBasedLoop, InstanceBasedScheme,
                              Instance, ReadBinding, rename)
 from .process_oriented import ProcessOrientedLoop, ProcessOrientedScheme
@@ -26,6 +25,5 @@ __all__ = [
     "ProcessOrientedScheme", "ReadBinding", "ReferenceBasedLoop", "RunConfig",
     "ReferenceBasedScheme", "StatementOrientedLoop",
     "StatementOrientedScheme", "SyncScheme", "at_least", "bound_waits",
-    "execute_statement", "make_scheme", "plan_accesses", "rename",
-    "scheme_names",
+    "make_scheme", "plan_accesses", "rename", "scheme_names",
 ]

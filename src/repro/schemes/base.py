@@ -22,7 +22,7 @@ from typing import (Any, Callable, Dict, Generator, Iterable, List,
                     Optional, Sequence, Tuple)
 
 from ..depend.graph import DependenceGraph
-from ..depend.model import Index, Loop, Statement
+from ..depend.model import Loop, LoweredStatement
 from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.metrics import RunResult
 from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead,
@@ -61,25 +61,23 @@ class CompiledStatement:
     Everything about the instance except its read *values* is known at
     instrument time: the tag, the read addresses, the compute cost and
     the write addresses.  Compiling those into reusable frozen ops (via
-    :func:`statement_instances`) moves address arithmetic and operation
-    construction out of the simulated run's hot path -- the ops are
-    immutable, so one compiled instance serves every execution and
-    replay of the stream.
+    :func:`statement_instances`) keeps operation construction out of the
+    simulated run's hot path -- the ops are immutable, so one compiled
+    instance serves every execution and replay of the stream.  The
+    addresses are the loop's lowered ones (:meth:`Loop.lowered`); the
+    write tuple is shared with it.
     """
 
     __slots__ = ("sid", "lpid", "tag_op", "read_ops", "compute_op",
                  "write_addrs")
 
-    def __init__(self, loop: Loop, stmt: Statement, index: Index,
-                 lpid: int) -> None:
-        self.sid = stmt.sid
+    def __init__(self, lowered: LoweredStatement, lpid: int) -> None:
+        self.sid = lowered.sid
         self.lpid = lpid
-        self.tag_op = Annotate("tag", {"tag": (stmt.sid, lpid)})
-        self.read_ops = tuple(MemRead(loop.address_of(ref, index))
-                              for ref in stmt.reads)
-        self.compute_op = Compute(stmt.cost_at(index))
-        self.write_addrs = tuple(loop.address_of(ref, index)
-                                 for ref in stmt.writes)
+        self.tag_op = Annotate("tag", {"tag": (lowered.sid, lpid)})
+        self.read_ops = tuple(MemRead(addr) for addr in lowered.reads)
+        self.compute_op = Compute(lowered.cost)
+        self.write_addrs = lowered.writes
 
     def stream(self) -> Generator:
         """Run the instance: tag, read, compute, write (see module doc).
@@ -120,7 +118,7 @@ def loop_pids(loop: Loop) -> Tuple[int, ...]:
     pids = loop.__dict__.get("_pids")
     if pids is None:
         pids = loop.__dict__["_pids"] = tuple(
-            loop.lpid(index) for index in loop.iteration_space())
+            row.lpid for row in loop.lowered())
     return pids
 
 
@@ -144,46 +142,22 @@ def sequential_reference(loop: Loop, initial: Dict[Address, Any]
 
 def statement_instances(loop: Loop, lpid: int
                         ) -> Dict[str, Optional[CompiledStatement]]:
-    """Iteration ``lpid``'s compiled statement instances by sid, None
-    where a guard skips the statement.
+    """Iteration ``lpid``'s compiled statement instances by sid, in
+    textual order, None where a guard skips the statement.
 
-    Compiled once per loop and memoized on it: every placement of the
-    loop, and every run and replay of each, share the instances.
+    Compiled once per loop from its lowered row and memoized on it:
+    every placement of the loop, and every run and replay of each,
+    share the instances.
     """
     memo = loop_memo(loop, "_statement_instances")
     instances = memo.get(lpid)
     if instances is None:
-        index = loop.index_of_lpid(lpid)
+        row = loop.lowered()[lpid - 1]
         instances = memo[lpid] = {
-            stmt.sid: (CompiledStatement(loop, stmt, index, lpid)
-                       if stmt.executes_at(index) else None)
-            for stmt in loop.body}
+            stmt.sid: (None if lowered is None
+                       else CompiledStatement(lowered, lpid))
+            for stmt, lowered in zip(loop.body, row.statements)}
     return instances
-
-
-def precompile_statements(loop: Loop) -> None:
-    """Compile every executed statement instance ahead of the run.
-
-    Called when a workload is built, so :func:`execute_statement` never
-    constructs ops while the machine clock is running.
-    """
-    for index in loop.iteration_space():
-        statement_instances(loop, loop.lpid(index))
-
-
-def execute_statement(loop: Loop, stmt: Statement, index: Index,
-                      lpid: int) -> Generator:
-    """Run one statement instance: tag, read, compute, write.
-
-    The tag ``(sid, lpid)`` attributes the instance's memory accesses in
-    the trace; it is cleared afterwards so scheme-internal accesses are
-    not mis-attributed.  An instance its guard skips is not in the
-    loop's memo and is compiled on the spot.
-    """
-    compiled = statement_instances(loop, lpid)[stmt.sid]
-    if compiled is None:
-        compiled = CompiledStatement(loop, stmt, index, lpid)
-    return compiled.stream()
 
 
 #: every statement instance ends by clearing its tag; the record is

@@ -18,19 +18,17 @@ The price, which this model charges explicitly:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import (Address, Annotate, Compute, MemRead, MemWrite,
-                       SyncWrite, WaitUntil)
+from ..sim.ops import Address, MemRead, MemWrite, SyncWrite, WaitUntil
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
-                   split_init)
+                   split_init, statement_instances)
 
 #: renamed instances live in this pseudo-array
 INSTANCE_SPACE = "__inst__"
@@ -72,8 +70,8 @@ def rename(loop: Loop) -> Tuple[List[Instance],
     """
     instances: List[Instance] = []
     current_version: Dict[Address, int] = {}  # addr -> instance id
-    reads_of: Dict[Tuple[str, int], List[ReadBinding]] = defaultdict(list)
-    writes_of: Dict[Tuple[str, int], List[int]] = defaultdict(list)
+    reads_of: Dict[Tuple[str, int], List[ReadBinding]] = {}
+    writes_of: Dict[Tuple[str, int], List[int]] = {}
 
     def instance_for(addr: Address) -> int:
         """Current instance of an element, creating version 0 if needed."""
@@ -83,23 +81,20 @@ def rename(loop: Loop) -> Tuple[List[Instance],
             current_version[addr] = len(instances) - 1
         return current_version[addr]
 
-    for index in loop.iteration_space():
-        lpid = loop.lpid(index)
-        for stmt in loop.body:
-            if not stmt.executes_at(index):
+    for row in loop.lowered():
+        for stmt in row.statements:
+            if stmt is None:
                 continue
-            tag = (stmt.sid, lpid)
-            reads_of.setdefault(tag, [])
-            writes_of.setdefault(tag, [])
-            for ref in stmt.reads:
-                addr = loop.address_of(ref, index)
+            tag = (stmt.sid, row.lpid)
+            reads = reads_of[tag] = []
+            writes = writes_of[tag] = []
+            for addr in stmt.reads:
                 instance_id = instance_for(addr)
                 instance = instances[instance_id]
                 copy_index = len(instance.readers)
                 instance.readers.append(tag)
-                reads_of[tag].append(ReadBinding(instance_id, copy_index))
-            for ref in stmt.writes:
-                addr = loop.address_of(ref, index)
+                reads.append(ReadBinding(instance_id, copy_index))
+            for addr in stmt.writes:
                 previous = current_version.get(addr)
                 version = (0 if previous is None
                            else instances[previous].version + 1)
@@ -107,7 +102,7 @@ def rename(loop: Loop) -> Tuple[List[Instance],
                                     writer=tag)
                 instances.append(instance)
                 current_version[addr] = len(instances) - 1
-                writes_of[tag].append(len(instances) - 1)
+                writes.append(len(instances) - 1)
 
     # assign flat copy addresses: one per reader, at least one per instance
     cursor = 0
@@ -116,7 +111,7 @@ def rename(loop: Loop) -> Tuple[List[Instance],
         instance.copies = [(INSTANCE_SPACE, cursor + c)
                            for c in range(n_copies)]
         cursor += n_copies
-    return instances, dict(reads_of), dict(writes_of)
+    return instances, reads_of, writes_of
 
 
 class InstanceBasedLoop(InstrumentedLoop):
@@ -143,17 +138,18 @@ class InstanceBasedLoop(InstrumentedLoop):
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s op stream, walked by :meth:`_body`.
 
-        One entry per executed statement: ``(tag_op, reads, compute_op,
-        sid, writes)`` where ``reads`` holds ``(wait, read, consume)``
-        triples and ``writes`` holds ``(copy_addrs, bit_ops)`` pairs.
+        One entry per executed statement: ``(compiled, reads, writes)``
+        with the statement instance's compiled stream (its tag and
+        compute ops; reads go to the renamed copies instead), ``reads``
+        holding ``(wait, read, consume)`` triples and ``writes`` holding
+        ``(copy_addrs, bit_ops)`` pairs.
         """
-        index = self.loop.index_of_lpid(pid)
         consume = self.scheme.consume
         program = []
-        for stmt in self.loop.body:
-            if not stmt.executes_at(index):
+        for compiled in statement_instances(self.loop, pid).values():
+            if compiled is None:
                 continue
-            tag = (stmt.sid, pid)
+            tag = (compiled.sid, pid)
             reads = []
             for binding in self.reads_of.get(tag, ()):
                 instance = self.instances[binding.instance_id]
@@ -170,11 +166,7 @@ class InstanceBasedLoop(InstrumentedLoop):
                 writes.append((tuple(instance.copies),
                                tuple(SyncWrite(bit, 1)
                                      for bit in instance.bits)))
-            program.append((Annotate("tag", {"tag": tag}),
-                            tuple(reads),
-                            Compute(stmt.cost_at(index)),
-                            stmt.sid,
-                            tuple(writes)))
+            program.append((compiled, tuple(reads), tuple(writes)))
         return program
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
@@ -248,12 +240,12 @@ class InstanceBasedLoop(InstrumentedLoop):
             else (checkpoint["stmt"], checkpoint["acc"],
                   checkpoint["values"]))
         checkpoints = self.checkpoints_enabled
-        for stmt_pos, (tag_op, reads, compute_op, sid,
+        for stmt_pos, (compiled, reads,
                        writes) in enumerate(self._programs[pid]):
             if stmt_pos < skip_stmt:
                 continue
             acc_done = skip_acc if stmt_pos == skip_stmt else 0
-            yield tag_op
+            yield compiled.tag_op
             # Reads whose consuming SyncWrite already landed find the
             # bit empty, so they reuse the journalled value.
             values: List[Any] = list(journaled[:acc_done])
@@ -268,8 +260,8 @@ class InstanceBasedLoop(InstrumentedLoop):
                         "iter": pid, "stmt": stmt_pos, "acc": read_pos + 1,
                         "values": list(values)})
                         if checkpoints else consume_op)
-            yield compute_op
-            result = mix(sid, pid, values)
+            yield compiled.compute_op
+            result = mix(compiled.sid, pid, values)
             # the statement's last publish advances the journal to the
             # next statement boundary
             boundary = writes[-1][1][-1] if checkpoints and writes else None

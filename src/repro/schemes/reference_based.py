@@ -30,12 +30,12 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import (Address, Annotate, Compute, MemRead, MemWrite,
-                       SyncUpdate, SyncWrite, WaitUntil, at_least, increment)
+from ..sim.ops import (Address, MemWrite, SyncUpdate, SyncWrite, WaitUntil,
+                       at_least, increment)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
-                   split_init)
+                   split_init, statement_instances)
 
 
 @dataclass(frozen=True)
@@ -60,26 +60,23 @@ def plan_accesses(loop: Loop) -> Dict[Tuple[str, int], List[KeyedAccess]]:
     ordinals: Dict[Address, int] = defaultdict(int)
     last_write_ordinal: Dict[Address, int] = {}
     plan: Dict[Tuple[str, int], List[KeyedAccess]] = {}
-    for index in loop.iteration_space():
-        lpid = loop.lpid(index)
-        for stmt in loop.body:
-            if not stmt.executes_at(index):
+    for row in loop.lowered():
+        for stmt in row.statements:
+            if stmt is None:
                 continue
             accesses: List[KeyedAccess] = []
-            for ref in stmt.reads:
-                addr = loop.address_of(ref, index)
+            for addr in stmt.reads:
                 ordinal = ordinals[addr]
                 previous_write = last_write_ordinal.get(addr)
                 threshold = 0 if previous_write is None else previous_write + 1
                 accesses.append(KeyedAccess("R", addr, threshold, ordinal))
                 ordinals[addr] = ordinal + 1
-            for ref in stmt.writes:
-                addr = loop.address_of(ref, index)
+            for addr in stmt.writes:
                 ordinal = ordinals[addr]
                 accesses.append(KeyedAccess("W", addr, ordinal, ordinal))
                 ordinals[addr] = ordinal + 1
                 last_write_ordinal[addr] = ordinal
-            plan[(stmt.sid, lpid)] = accesses
+            plan[(stmt.sid, row.lpid)] = accesses
     return plan
 
 
@@ -103,33 +100,28 @@ class ReferenceBasedLoop(InstrumentedLoop):
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s op stream, walked by :meth:`_body`.
 
-        One entry per executed statement: ``(tag_op, reads, compute_op,
-        sid, writes)`` with per-access ``(wait, read, update)`` /
-        ``(wait, addr, update)`` triples.
+        One entry per executed statement: ``(compiled, reads, writes)``
+        with the statement instance's compiled stream and per-access
+        ``(wait, read, update)`` / ``(wait, addr, update)`` triples.
         """
-        index = self.loop.index_of_lpid(pid)
         program = []
-        for stmt in self.loop.body:
-            if not stmt.executes_at(index):
+        for compiled in statement_instances(self.loop, pid).values():
+            if compiled is None:
                 continue
             reads = []
             writes = []
-            for access in self.plan[(stmt.sid, pid)]:
+            read_ops = iter(compiled.read_ops)  # the plan's reads, in order
+            for access in self.plan[(compiled.sid, pid)]:
                 key = self._key_of[access.addr]
                 wait_op = WaitUntil(key, at_least(access.threshold),
                                     reason=f"key {access.addr} >= "
                                            f"{access.threshold}")
                 update_op = SyncUpdate(key, increment)
                 if access.kind == "R":
-                    reads.append((wait_op, MemRead(access.addr),
-                                  update_op))
+                    reads.append((wait_op, next(read_ops), update_op))
                 else:
                     writes.append((wait_op, access.addr, update_op))
-            program.append((Annotate("tag", {"tag": (stmt.sid, pid)}),
-                            tuple(reads),
-                            Compute(stmt.cost_at(index)),
-                            stmt.sid,
-                            tuple(writes)))
+            program.append((compiled, tuple(reads), tuple(writes)))
         return program
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
@@ -166,7 +158,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
             else (checkpoint["stmt"], checkpoint["acc"],
                   checkpoint["values"]))
         checkpoints = self.checkpoints_enabled
-        for stmt_pos, (tag_op, reads, compute_op, sid,
+        for stmt_pos, (compiled, reads,
                        writes) in enumerate(self._programs[pid]):
             if stmt_pos < skip_stmt:
                 continue
@@ -174,7 +166,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
             accesses = len(reads) + len(writes)
             if accesses and acc_done >= accesses:
                 continue  # statement fully signalled before the crash
-            yield tag_op
+            yield compiled.tag_op
             # Reads whose increments already landed reuse the journalled
             # value instead of re-reading + re-incrementing.
             values: List[Any] = list(journaled[:acc_done])
@@ -187,8 +179,8 @@ class ReferenceBasedLoop(InstrumentedLoop):
                     "iter": pid, "stmt": stmt_pos, "acc": position + 1,
                     "values": list(values)})
                     if checkpoints else update_op)
-            yield compute_op
-            result = mix(sid, pid, values)
+            yield compiled.compute_op
+            result = mix(compiled.sid, pid, values)
             # writes before acc_done: write + increment already landed
             first_write = max(acc_done - len(reads), 0)
             for position, (wait_op, addr, update_op) in enumerate(

@@ -6,8 +6,8 @@ import pytest
 
 from repro.lab.apps import app_names, build_app
 from repro.schemes import RunConfig, make_scheme, scheme_names
-from repro.schemes.base import (execute_statement, loop_memo,
-                                sequential_reference)
+from repro.schemes.base import (loop_memo, sequential_reference,
+                                statement_instances)
 from repro.schemes.process_oriented import ProcessOrientedScheme
 from repro.sim import (BroadcastSyncFabric, Engine, Machine,
                        MachineConfig, SharedMemory, ValidationError,
@@ -15,8 +15,8 @@ from repro.sim import (BroadcastSyncFabric, Engine, Machine,
 
 
 def test_execute_statement_op_sequence(fig21):
-    stmt = fig21.statement("S2")  # reads A[i+1]
-    ops = list(execute_statement(fig21, stmt, (4,), 4))
+    # S2 reads A[i+1]
+    ops = list(statement_instances(fig21, 4)["S2"].stream())
     kinds = [type(op).__name__ for op in ops]
     assert kinds == ["Annotate", "MemRead", "Compute", "Annotate"]
     assert ops[0].payload["tag"] == ("S2", 4)
@@ -25,10 +25,10 @@ def test_execute_statement_op_sequence(fig21):
 
 
 def test_execute_statement_writes_mixed_value(fig21):
-    stmt = fig21.statement("S1")  # writes A[i+3]
+    # S1 writes A[i+3]
     memory = SharedMemory()
     engine = Engine(memory, BroadcastSyncFabric())
-    engine.spawn(execute_statement(fig21, stmt, (2,), 2), name="p")
+    engine.spawn(statement_instances(fig21, 2)["S1"].stream(), name="p")
     engine.run()
     assert memory.peek(("A", 5)) == mix("S1", 2, [])
 

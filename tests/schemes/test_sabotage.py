@@ -93,14 +93,13 @@ def test_publishing_steps_early_is_detected():
     def premature(pid: int) -> Generator:
         # publish everything immediately, then run the plain body
         from repro.core.primitives import get_pc, release_pc, set_pc
-        from repro.schemes.base import execute_statement
+        from repro.schemes.base import statement_instances
         yield from get_pc(instrumented.counters, pid)
         for step in range(1, instrumented.plan.n_sources):
             yield from set_pc(instrumented.counters, pid, step)
         yield from release_pc(instrumented.counters, pid)
-        index = loop.index_of_lpid(pid)
-        for stmt in loop.body:
-            yield from execute_statement(loop, stmt, index, pid)
+        for compiled in statement_instances(loop, pid).values():
+            yield from compiled.stream()
 
     instrumented.make_process = premature
     result = machine().run(instrumented)
