@@ -52,7 +52,7 @@ from .cli import (add_cache_options, add_common_options,
 from .compiler import compile_loop, run_program
 from .frontend import parse_loop, parse_program
 from .report import render_timeline
-from .schemes import make_scheme, scheme_names
+from .schemes import scheme_names
 from .sim import Machine, MachineConfig
 from .sim.machine import SCHEDULES
 
@@ -510,7 +510,7 @@ def _sweep_mode(parser: argparse.ArgumentParser, args) -> int:
 def _chaos_mode(parser: argparse.ArgumentParser, args) -> int:
     """Sweep fault plans as one grid and check the degradation contract."""
     from .faults.chaos import ACCEPTABLE_OUTCOMES
-    from .faults.plan import make_plan, plan_names
+    from .faults.plan import plan_names
     from .lab import SweepOptions, SweepSpec, run_sweep
     from .report import print_table
 
@@ -518,18 +518,15 @@ def _chaos_mode(parser: argparse.ArgumentParser, args) -> int:
                else args.schemes.split(","))
     plans = plan_names() if args.plans == "all" else args.plans.split(",")
     try:
-        # a typo fails here, listing the known names, before any cell runs
-        for name in schemes:
-            make_scheme(name)
-        for name in plans:
-            make_plan(name)
+        # the spec decoder names a typo, listing the known names, before
+        # any cell runs
+        spec = SweepSpec.build(
+            "chaos", apps=[("fig2.1", {"n": args.n, "cost": 8})],
+            schemes=schemes, processors=(args.processors,),
+            seeds=range(args.seed, args.seed + args.seeds),
+            wait_bounds=(100_000,), plans=plans, recover=args.recover)
     except ValueError as err:
         parser.error(str(err))
-    spec = SweepSpec.build(
-        "chaos", apps=[("fig2.1", {"n": args.n, "cost": 8})],
-        schemes=schemes, processors=(args.processors,),
-        seeds=range(args.seed, args.seed + args.seeds),
-        wait_bounds=(100_000,), plans=plans, recover=args.recover)
     try:
         report = run_sweep(spec, SweepOptions(
             procs=args.procs, cache_dir=None, max_retries=0,

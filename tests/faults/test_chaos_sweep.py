@@ -1,5 +1,6 @@
-"""The chaos sweep's fan-out: a scheme or fault-plan name is checked
-before the grid is built, so a typo never reaches a sweep cell."""
+"""The chaos sweep's fan-out: the spec decoder checks every scheme and
+fault-plan name as it builds the grid, so a typo never reaches a sweep
+cell."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from repro.__main__ import main
 
 @pytest.mark.parametrize("field, name, message", [
     ("schemes", "nope", "unknown scheme 'nope'"),
-    ("plans", "bogus", "unknown fault plan 'bogus'"),
+    ("plans", "bogus", "unknown plan 'bogus'"),
 ])
 def test_unknown_names_rejected_before_fan_out(monkeypatch, capsys, field,
                                                name, message):

@@ -279,8 +279,9 @@ def test_chaos_mode_rejects_unknown_plan(monkeypatch, capsys):
 
     monkeypatch.setattr(repro.lab, "run_sweep", never)
     for flag, name, expected in (
-            ("--plans", "nope", "unknown fault plan 'nope'; known:"),
-            ("--schemes", "bogus", "unknown scheme 'bogus'; known:")):
+            ("--plans", "nope", "unknown plan 'nope' in spec 'chaos'; known:"),
+            ("--schemes", "bogus",
+             "unknown scheme 'bogus' in spec 'chaos'; known:")):
         with pytest.raises(SystemExit) as excinfo:
             main(["chaos", "--seeds", "1", flag, name])
         assert excinfo.value.code == 2
