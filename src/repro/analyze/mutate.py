@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..schemes.base import InstrumentedLoop
-from ..sim.ops import Annotate, Compute, SyncUpdate, SyncWrite, WaitUntil
+from ..sim.ops import Compute, SyncUpdate, SyncWrite, Tag, WaitUntil
 from .hbgraph import WaitInfo, _early_updates, solve
 from .placement import extract, stable_signatures
 from .verifier import choose_window
@@ -120,8 +120,7 @@ class MutatedLoop:
                 op = gen.send(send)
             except StopIteration:
                 return
-            if (isinstance(op, Annotate) and op.kind == "tag"
-                    and op.payload.get("tag") == self.slow_tag):
+            if isinstance(op, Tag) and op.tag == self.slow_tag:
                 yield Compute(self.slow_cost)
             send = yield op
 

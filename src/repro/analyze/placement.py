@@ -45,8 +45,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ..core.process_counter import pc_at_least
 from ..schemes.base import InstrumentedLoop
 from ..sim.memory import MemoryConfig, SharedMemory
-from ..sim.ops import (Annotate, MemRead, MemWrite, SyncRead, SyncUpdate,
-                       SyncWrite, WaitUntil)
+from ..sim.ops import (MemRead, MemWrite, SyncRead, SyncUpdate, SyncWrite,
+                       Tag, WaitUntil)
 
 #: runaway guard for the per-task dry run
 _MAX_OPS_PER_TASK = 200_000
@@ -141,9 +141,8 @@ def dry_run_task(gen: Generator, pid: int,
         except StopIteration:
             return ops
         send = None
-        if isinstance(op, Annotate):
-            if op.kind == "tag":
-                tag = op.payload.get("tag")
+        if isinstance(op, Tag):
+            tag = op.tag
         elif isinstance(op, MemRead):
             send = 0
         elif isinstance(op, SyncRead):

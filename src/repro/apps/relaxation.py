@@ -39,8 +39,8 @@ from ..core.process_counter import ProcessCounterFile
 from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
-from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
-                       SyncWrite, WaitUntil, at_least)
+from ..sim.ops import (Address, Compute, Fence, MemRead, MemWrite,
+                       SyncWrite, Tag, WaitUntil, at_least)
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
 from ..sim.validate import ValidationError, mix
 
@@ -57,12 +57,12 @@ def point_value(i: int, j: int, north: Any, west: Any) -> int:
 
 def point_ops(n: int, i: int, j: int, cost: int) -> Generator:
     """Simulator ops computing one grid point."""
-    yield Annotate("tag", {"tag": ("S", (i, j))})
+    yield Tag(("S", (i, j)))
     north = yield MemRead(point_address(n, i - 1, j))
     west = yield MemRead(point_address(n, i, j - 1))
     yield Compute(cost)
     yield MemWrite(point_address(n, i, j), point_value(i, j, north, west))
-    yield Annotate("tag", {"tag": None})
+    yield Tag(None)
 
 
 def reference_solution(n: int) -> Dict[Address, int]:

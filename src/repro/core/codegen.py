@@ -109,19 +109,17 @@ def build_sync_plan(loop: Loop,
     if arcs is None:
         arcs = graph.pruned_sync_arcs(mode=prune)
 
-    source_sids = [stmt.sid for stmt in loop.body
-                   if any(arc.src == stmt.sid for arc in arcs)]
+    source_sids = graph.sources(arcs)
     step_of = {sid: number for number, sid in enumerate(source_sids, start=1)}
     n_sources = len(source_sids)
     last_source = source_sids[-1] if source_sids else None
 
     statements: List[StatementPlan] = []
     for stmt in loop.body:
-        incoming = [arc for arc in arcs if arc.dst == stmt.sid]
         waits = tuple(sorted(
             (PlannedWait(dist=arc.distance, step=step_of[arc.src],
                          src=arc.src)
-             for arc in incoming),
+             for arc in graph.incoming(stmt.sid, arcs)),
             key=lambda w: (w.step, w.dist)))
         statements.append(StatementPlan(
             sid=stmt.sid,

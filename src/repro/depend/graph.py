@@ -249,7 +249,6 @@ class DependenceGraph:
                 addr = getattr(sink, dst_field)[dst_slot]
                 if addr != getattr(source, src_field)[src_slot]:
                     continue  # distinct elements (defensive; cannot happen)
-                instances.append((
-                    (dep.src, source_row.lpid), (dep.dst, row.lpid),
-                    addr, src_kind, dst_kind))
+                instances.append((source.tag, sink.tag, addr, src_kind,
+                                  dst_kind))
         return instances

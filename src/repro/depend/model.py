@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import mul
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
                     Optional, Tuple)
 
@@ -141,12 +142,16 @@ class Statement:
 
 class LoweredStatement(NamedTuple):
     """One executed statement instance: the flat addresses it reads and
-    writes, in declaration order, and its computation cycles."""
+    writes, in declaration order, its computation cycles and its
+    ``(sid, lpid)`` tag.  The address and tag tuples are the lowering's
+    own objects, one per value per loop; consumers key on them rather
+    than build their own."""
 
     sid: str
     reads: Tuple[Address, ...]
     writes: Tuple[Address, ...]
     cost: int
+    tag: Tuple[str, int]
 
 
 class LoweredRow(NamedTuple):
@@ -276,7 +281,8 @@ class Loop:
 
     def lowered(self) -> Tuple[LoweredRow, ...]:
         """Every iteration in sequential order (row ``k`` is lpid
-        ``k + 1``), with each executed statement's addresses and cost.
+        ``k + 1``), with each executed statement's addresses, cost and
+        tag.
 
         The one place guards, process ids and subscripts are evaluated;
         every consumer reads these rows.  Kept on the loop, so it lives
@@ -284,17 +290,56 @@ class Loop:
         """
         rows = self.__dict__.get("_lowered")
         if rows is None:
-            rows = self.__dict__["_lowered"] = tuple(
-                LoweredRow(index, lpid, tuple(
-                    LoweredStatement(
-                        stmt.sid,
-                        tuple(self.address_of(r, index) for r in stmt.reads),
-                        tuple(self.address_of(r, index) for r in stmt.writes),
-                        stmt.cost_at(index))
-                    if stmt.executes_at(index) else None
-                    for stmt in self.body))
-                for lpid, index in enumerate(self.iteration_space(), 1))
+            rows = self.__dict__["_lowered"] = self._lower()
         return rows
+
+    def _affine(self, ref: ArrayRef) -> Tuple[str, int, Tuple[int, ...]]:
+        """``ref`` strength-reduced to ``(array, base, strides)``: at
+        iteration ``index`` it touches flat element ``base +
+        sum(strides[k] * index[k])``.
+
+        Row-major flattening of affine subscripts is affine in the
+        index, so ``base`` is the flat index at the origin and
+        ``strides[k]`` the step to unit vector ``k``.  Evaluating there
+        raises :meth:`address_of`'s arity and shape errors for a ref that
+        does not fit the loop or its array.
+        """
+        origin = (0,) * self.depth
+        _array, base = self.flatten(ref.array, ref.element(origin))
+        return ref.array, base, tuple(
+            self.flatten(ref.array, ref.element(
+                origin[:k] + (1,) + origin[k + 1:]))[1] - base
+            for k in range(self.depth))
+
+    def _lower(self) -> Tuple[LoweredRow, ...]:
+        #: array -> flat index -> its one address tuple, while lowering
+        interned: Dict[str, Dict[int, Address]] = {}
+
+        def forms(refs: Tuple[ArrayRef, ...]) -> tuple:
+            return tuple((interned.setdefault(array, {}), array, base,
+                          strides)
+                         for array, base, strides in map(self._affine, refs))
+
+        def addresses(refs: tuple, index: Index) -> Tuple[Address, ...]:
+            found = []
+            for table, array, base, strides in refs:
+                flat = base + sum(map(mul, strides, index))
+                addr = table.get(flat)
+                if addr is None:
+                    addr = table[flat] = (array, flat)
+                found.append(addr)
+            return tuple(found)
+
+        body = [(stmt, forms(stmt.reads), forms(stmt.writes))
+                for stmt in self.body]
+        return tuple(
+            LoweredRow(index, lpid, tuple(
+                LoweredStatement(stmt.sid, addresses(reads, index),
+                                 addresses(writes, index),
+                                 stmt.cost_at(index), (stmt.sid, lpid))
+                if stmt.executes_at(index) else None
+                for stmt, reads, writes in body))
+            for lpid, index in enumerate(self.iteration_space(), 1))
 
     def execute_sequential(
             self, initial: Optional[Dict[Address, Any]] = None
@@ -311,7 +356,7 @@ class Loop:
                 if stmt is None:
                     continue
                 values = [memory.get(addr) for addr in stmt.reads]
-                reads_by_tag[(stmt.sid, row.lpid)] = values
+                reads_by_tag[stmt.tag] = values
                 result = mix(stmt.sid, row.lpid, values)
                 for addr in stmt.writes:
                     memory[addr] = result

@@ -25,8 +25,8 @@ from ..depend.graph import DependenceGraph
 from ..depend.model import Loop, LoweredStatement
 from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.metrics import RunResult
-from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead,
-                       MemWrite, WaitUntil)
+from ..sim.ops import (Address, Compute, Fence, MemRead, MemWrite, Tag,
+                       WaitUntil)
 from ..sim.validate import (check_dependence_instances, check_final_state,
                             check_reads_match_recovered,
                             check_reads_match_sequential, mix)
@@ -63,20 +63,21 @@ class CompiledStatement:
     the write addresses.  Compiling those into reusable frozen ops (via
     :func:`statement_instances`) keeps operation construction out of the
     simulated run's hot path -- the ops are immutable, so one compiled
-    instance serves every execution and replay of the stream.  The
-    addresses are the loop's lowered ones (:meth:`Loop.lowered`); the
-    write tuple is shared with it.
+    instance serves every execution and replay of the stream.  The tag
+    and addresses are the loop's lowered ones (:meth:`Loop.lowered`),
+    and the read and compute ops come from the loop's tables of them
+    (:func:`shared_ops`).
     """
 
     __slots__ = ("sid", "lpid", "tag_op", "read_ops", "compute_op",
                  "write_addrs")
 
-    def __init__(self, lowered: LoweredStatement, lpid: int) -> None:
-        self.sid = lowered.sid
-        self.lpid = lpid
-        self.tag_op = Annotate("tag", {"tag": (lowered.sid, lpid)})
-        self.read_ops = tuple(MemRead(addr) for addr in lowered.reads)
-        self.compute_op = Compute(lowered.cost)
+    def __init__(self, lowered: LoweredStatement,
+                 read_ops: Tuple[MemRead, ...], compute_op: Compute) -> None:
+        self.sid, self.lpid = lowered.tag
+        self.tag_op = Tag(lowered.tag)
+        self.read_ops = read_ops
+        self.compute_op = compute_op
         self.write_addrs = lowered.writes
 
     def stream(self) -> Generator:
@@ -111,6 +112,26 @@ def loop_memo(loop: Loop, name: str) -> Dict[Any, Any]:
     if memo is None:
         memo = loop.__dict__[name] = {}
     return memo
+
+
+def shared_ops(loop: Loop, name: str,
+               build: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """A lookup of ``build(value)`` in the loop's table ``name``.
+
+    For ops that are a pure function of one value (a read of one
+    address, a computation of one cost, an increment of one key): every
+    access with that value, in every placement of the loop, yields the
+    same op object, built on first use.
+    """
+    memo = loop_memo(loop, name)
+
+    def op(value: Any) -> Any:
+        found = memo.get(value)
+        if found is None:
+            found = memo[value] = build(value)
+        return found
+
+    return op
 
 
 def loop_pids(loop: Loop) -> Tuple[int, ...]:
@@ -152,17 +173,20 @@ def statement_instances(loop: Loop, lpid: int
     memo = loop_memo(loop, "_statement_instances")
     instances = memo.get(lpid)
     if instances is None:
+        read_op = shared_ops(loop, "_read_ops", MemRead)
+        compute_op = shared_ops(loop, "_compute_ops", Compute)
         row = loop.lowered()[lpid - 1]
         instances = memo[lpid] = {
-            stmt.sid: (None if lowered is None
-                       else CompiledStatement(lowered, lpid))
+            stmt.sid: (None if lowered is None else CompiledStatement(
+                lowered, tuple(map(read_op, lowered.reads)),
+                compute_op(lowered.cost)))
             for stmt, lowered in zip(loop.body, row.statements)}
     return instances
 
 
 #: every statement instance ends by clearing its tag; the record is
 #: immutable to the engine, so one shared instance serves all of them
-_CLEAR_TAG = Annotate("tag", {"tag": None})
+_CLEAR_TAG = Tag(None)
 
 #: the one fence every scheme yields before publishing a signal
 _FENCE = Fence()

@@ -24,17 +24,18 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import Address, MemRead, MemWrite, SyncWrite, WaitUntil
+from ..sim.ops import (Address, Compute, MemRead, MemWrite, SyncWrite, Tag,
+                       WaitUntil)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
-                   split_init, statement_instances)
+                   shared_ops, split_init)
 
 #: renamed instances live in this pseudo-array
 INSTANCE_SPACE = "__inst__"
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """One single-assignment value instance (element version)."""
 
@@ -50,7 +51,7 @@ class Instance:
     writer: Optional[Tuple[str, int]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadBinding:
     """Where one read of a statement instance finds its operand."""
 
@@ -66,7 +67,8 @@ def rename(loop: Loop) -> Tuple[List[Instance],
     Returns ``(instances, reads_of, writes_of)`` where ``reads_of[tag]``
     binds each read of the instance (declaration order) to an
     (instance, copy) and ``writes_of[tag]`` lists instance ids the
-    statement instance must produce.
+    statement instance must produce.  Tags and base addresses are the
+    lowering's own objects.
     """
     instances: List[Instance] = []
     current_version: Dict[Address, int] = {}  # addr -> instance id
@@ -85,7 +87,7 @@ def rename(loop: Loop) -> Tuple[List[Instance],
         for stmt in row.statements:
             if stmt is None:
                 continue
-            tag = (stmt.sid, row.lpid)
+            tag = stmt.tag
             reads = reads_of[tag] = []
             writes = writes_of[tag] = []
             for addr in stmt.reads:
@@ -138,18 +140,19 @@ class InstanceBasedLoop(InstrumentedLoop):
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s op stream, walked by :meth:`_body`.
 
-        One entry per executed statement: ``(compiled, reads, writes)``
-        with the statement instance's compiled stream (its tag and
-        compute ops; reads go to the renamed copies instead), ``reads``
-        holding ``(wait, read, consume)`` triples and ``writes`` holding
-        ``(copy_addrs, bit_ops)`` pairs.
+        One entry per executed statement: ``(tag_op, compute_op, reads,
+        writes)``, with ``reads`` holding ``(wait, read, consume)``
+        triples on the renamed copies and ``writes`` holding
+        ``(copy_addrs, bit_ops)`` pairs.  The statement's own addresses
+        are never read, so no op is built for them.
         """
         consume = self.scheme.consume
+        compute_op = shared_ops(self.loop, "_compute_ops", Compute)
         program = []
-        for compiled in statement_instances(self.loop, pid).values():
-            if compiled is None:
+        for lowered in self.loop.lowered()[pid - 1].statements:
+            if lowered is None:
                 continue
-            tag = (compiled.sid, pid)
+            tag = lowered.tag
             reads = []
             for binding in self.reads_of.get(tag, ()):
                 instance = self.instances[binding.instance_id]
@@ -166,7 +169,8 @@ class InstanceBasedLoop(InstrumentedLoop):
                 writes.append((tuple(instance.copies),
                                tuple(SyncWrite(bit, 1)
                                      for bit in instance.bits)))
-            program.append((compiled, tuple(reads), tuple(writes)))
+            program.append((Tag(tag), compute_op(lowered.cost),
+                            tuple(reads), tuple(writes)))
         return program
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
@@ -240,12 +244,12 @@ class InstanceBasedLoop(InstrumentedLoop):
             else (checkpoint["stmt"], checkpoint["acc"],
                   checkpoint["values"]))
         checkpoints = self.checkpoints_enabled
-        for stmt_pos, (compiled, reads,
+        for stmt_pos, (tag_op, compute_op, reads,
                        writes) in enumerate(self._programs[pid]):
             if stmt_pos < skip_stmt:
                 continue
             acc_done = skip_acc if stmt_pos == skip_stmt else 0
-            yield compiled.tag_op
+            yield tag_op
             # Reads whose consuming SyncWrite already landed find the
             # bit empty, so they reuse the journalled value.
             values: List[Any] = list(journaled[:acc_done])
@@ -260,8 +264,8 @@ class InstanceBasedLoop(InstrumentedLoop):
                         "iter": pid, "stmt": stmt_pos, "acc": read_pos + 1,
                         "values": list(values)})
                         if checkpoints else consume_op)
-            yield compiled.compute_op
-            result = mix(compiled.sid, pid, values)
+            yield compute_op
+            result = mix(tag_op.tag[0], pid, values)
             # the statement's last publish advances the journal to the
             # next statement boundary
             boundary = writes[-1][1][-1] if checkpoints and writes else None

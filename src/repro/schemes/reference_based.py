@@ -35,10 +35,10 @@ from ..sim.ops import (Address, MemWrite, SyncUpdate, SyncWrite, WaitUntil,
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
 from .base import (_CLEAR_TAG, _FENCE, InstrumentedLoop, SyncScheme,
-                   split_init, statement_instances)
+                   shared_ops, split_init, statement_instances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyedAccess:
     """One planned access of a statement instance, with its key action."""
 
@@ -48,14 +48,14 @@ class KeyedAccess:
     ordinal: int     # this access's position in the element's sequence
 
 
-
 def plan_accesses(loop: Loop) -> Dict[Tuple[str, int], List[KeyedAccess]]:
     """Assign access ordinals and wait thresholds per statement instance.
 
     Walks the iteration space in sequential order, numbering the accesses
     of every element; within a statement reads precede writes.  Returns,
     for each tag ``(sid, lpid)``, the instance's accesses in execution
-    order (reads in declaration order, then writes).
+    order (reads in declaration order, then writes).  Tags and
+    addresses are the lowering's own objects.
     """
     ordinals: Dict[Address, int] = defaultdict(int)
     last_write_ordinal: Dict[Address, int] = {}
@@ -76,7 +76,7 @@ def plan_accesses(loop: Loop) -> Dict[Tuple[str, int], List[KeyedAccess]]:
                 accesses.append(KeyedAccess("W", addr, ordinal, ordinal))
                 ordinals[addr] = ordinal + 1
                 last_write_ordinal[addr] = ordinal
-            plan[(stmt.sid, row.lpid)] = accesses
+            plan[stmt.tag] = accesses
     return plan
 
 
@@ -104,6 +104,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
         with the statement instance's compiled stream and per-access
         ``(wait, read, update)`` / ``(wait, addr, update)`` triples.
         """
+        update_op = shared_ops(self.loop, "_key_updates", _key_update)
         program = []
         for compiled in statement_instances(self.loop, pid).values():
             if compiled is None:
@@ -111,16 +112,15 @@ class ReferenceBasedLoop(InstrumentedLoop):
             reads = []
             writes = []
             read_ops = iter(compiled.read_ops)  # the plan's reads, in order
-            for access in self.plan[(compiled.sid, pid)]:
+            for access in self.plan[compiled.tag_op.tag]:
                 key = self._key_of[access.addr]
                 wait_op = WaitUntil(key, at_least(access.threshold),
                                     reason=f"key {access.addr} >= "
                                            f"{access.threshold}")
-                update_op = SyncUpdate(key, increment)
                 if access.kind == "R":
-                    reads.append((wait_op, next(read_ops), update_op))
+                    reads.append((wait_op, next(read_ops), update_op(key)))
                 else:
-                    writes.append((wait_op, access.addr, update_op))
+                    writes.append((wait_op, access.addr, update_op(key)))
             program.append((compiled, tuple(reads), tuple(writes)))
         return program
 
@@ -193,6 +193,10 @@ class ReferenceBasedLoop(InstrumentedLoop):
                     "values": list(values)})
                     if checkpoints else update_op)
             yield _CLEAR_TAG
+
+
+def _key_update(key: int) -> SyncUpdate:
+    return SyncUpdate(key, increment)
 
 
 class ReferenceBasedScheme(SyncScheme):

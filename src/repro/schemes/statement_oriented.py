@@ -42,9 +42,7 @@ class StatementOrientedLoop(InstrumentedLoop):
                  graph: DependenceGraph, arcs: List[SyncArc]) -> None:
         super().__init__(scheme, loop, graph)
         self.arcs = arcs
-        self.source_sids: List[str] = [
-            stmt.sid for stmt in loop.body
-            if any(arc.src == stmt.sid for arc in arcs)]
+        self.source_sids: List[str] = graph.sources(arcs)
         #: statement counters are allocated first on a fresh fabric, so
         #: their variable ids are known at instrument time (asserted in
         #: build_fabric); that lets the whole op stream be compiled
@@ -82,8 +80,7 @@ class StatementOrientedLoop(InstrumentedLoop):
         #: each body statement's incoming arcs, in arc order: one scan
         #: of the arcs per placement, rebuilt with the programs
         self._incoming = {
-            stmt.sid: tuple(arc for arc in self.arcs
-                            if arc.dst == stmt.sid)
+            stmt.sid: tuple(self.graph.incoming(stmt.sid, self.arcs))
             for stmt in self.loop.body}
         super().recompile()
 

@@ -14,11 +14,11 @@ from .machine import Machine, MachineConfig, SCHED_COUNTER, Workload
 from .memory import MemoryConfig, SharedMemory
 from .metrics import EXTRA_SCHEMA_VERSION, RunResult
 from .ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
-                  SyncRead, SyncUpdate, SyncWrite, WaitUntil)
+                  SyncRead, SyncUpdate, SyncWrite, Tag, WaitUntil)
 from .scheduler import Scheduler, SelfScheduler, StaticScheduler
 from .cache_fabric import CachedSyncFabric
 from .sync_bus import BroadcastSyncFabric, MemorySyncFabric, SyncFabric
-from .validate import (DependenceInstance, Tag, ValidationError,
+from .validate import (DependenceInstance, ValidationError,
                        check_dependence_instances, check_final_state,
                        check_reads_match_recovered,
                        check_reads_match_sequential, mix, statement_reads)

@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from .memory import SharedMemory
 from .ops import (Annotate, Compute, Fence, MemRead, MemWrite, SyncRead,
-                  SyncUpdate, SyncWrite, WaitUntil)
+                  SyncUpdate, SyncWrite, Tag, WaitUntil)
 from .sync_bus import SyncFabric
 
 #: Event priorities: commits become visible before any same-cycle resume.
@@ -126,7 +126,7 @@ class AccessRecord:
     addr: Tuple[str, int]
     value: Any
     task: str
-    tag: Any             # whatever the process last set via Annotate("tag")
+    tag: Any             # whatever the process last set with a Tag op
     #: global issue-order sequence number, shared with the sync trace so
     #: data and synchronization events merge into one program-order- and
     #: causality-consistent stream (the vector-clock sanitizer's input)
@@ -431,11 +431,12 @@ class Engine:
             SyncUpdate: self._op_sync_update,
             WaitUntil: self._op_wait_until,
             Fence: self._op_fence,
+            Tag: self._op_tag,
             Annotate: self._op_annotate,
         }
         self._dispatch_order = (Compute, MemRead, MemWrite, SyncRead,
                                 SyncWrite, SyncUpdate, WaitUntil, Fence,
-                                Annotate)
+                                Tag, Annotate)
 
     # ------------------------------------------------------------------
     # scheduling primitives (also used by the fabric)
@@ -809,10 +810,12 @@ class Engine:
             heapq.heappush(self._times, done)
         bucket[1].append(task)
 
+    def _op_tag(self, task: _Task, op: Tag) -> None:
+        task.tag = op.tag
+        self._open_resumes.append(task)
+
     def _op_annotate(self, task: _Task, op: Annotate) -> None:
-        if op.kind == "tag":
-            task.tag = op.payload.get("tag")
-        elif self.record:
+        if self.record:
             self.events.append((self.now, op.kind, dict(op.payload)))
         self._open_resumes.append(task)
 

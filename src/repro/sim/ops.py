@@ -30,6 +30,14 @@ substrate (which *executes* them):
     Marks the point where a process's previous writes are globally
     visible; schemes issue it before signalling completion of a source
     statement (requirement (1) of section 2.2 of the paper).
+``Tag``
+    Names the statement instance the process's next accesses belong to
+    (``(sid, lpid)``, or None between statements).  Free; the trace
+    records the tag current at each access's issue, which is what the
+    validators match against the sequential reference.
+``Annotate``
+    A zero-cost phase marker (barrier phases, FFT stages, PDE sweeps),
+    recorded as a timed event when the run records its trace.
 """
 
 from __future__ import annotations
@@ -167,8 +175,15 @@ class Fence:
 
 
 @dataclass(frozen=True, slots=True)
+class Tag:
+    """Set the issuing process's current statement tag (zero cost)."""
+
+    tag: Any
+
+
+@dataclass(frozen=True, slots=True)
 class Annotate:
-    """Record a zero-cost marker in the trace (used by the validator)."""
+    """Record a zero-cost phase marker as a timed event."""
 
     kind: str
     payload: dict = field(default_factory=dict)
@@ -176,4 +191,4 @@ class Annotate:
 
 #: Union of every record a process may yield.
 Operation = (Compute, MemRead, MemWrite, SyncRead, SyncWrite, SyncUpdate,
-             WaitUntil, Fence, Annotate)
+             WaitUntil, Fence, Tag, Annotate)

@@ -10,7 +10,7 @@ its sink access.
 
 Statement instances are identified by *tags*: ``(statement_id,
 iteration)`` pairs that instrumented processes attach to their accesses
-via ``Annotate("tag", ...)``.
+with :class:`~repro.sim.ops.Tag` ops.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .engine import AccessRecord
 from .ops import Address
 
 #: identifies one statement instance: (statement id, iteration id)
-Tag = Tuple[Any, Any]
+StatementTag = Tuple[Any, Any]
 
 
 class ValidationError(AssertionError):
@@ -55,12 +55,13 @@ def mix(sid: Any, iteration: Any, reads: Sequence[Any]) -> int:
     return value
 
 
-_MIX_SEEDS: Dict[Tag, int] = {}
+_MIX_SEEDS: Dict[StatementTag, int] = {}
 
 
-def statement_reads(trace: Iterable[AccessRecord]) -> Dict[Tag, List[Any]]:
+def statement_reads(trace: Iterable[AccessRecord]
+                    ) -> Dict[StatementTag, List[Any]]:
     """Group read *values* by statement-instance tag, in commit order."""
-    reads: Dict[Tag, List[Any]] = defaultdict(list)
+    reads: Dict[StatementTag, List[Any]] = defaultdict(list)
     for record in trace:
         if record.kind == "R" and record.tag is not None:
             reads[record.tag].append(record.value)
@@ -69,7 +70,7 @@ def statement_reads(trace: Iterable[AccessRecord]) -> Dict[Tag, List[Any]]:
 
 def check_reads_match_sequential(
         trace: Iterable[AccessRecord],
-        expected: Dict[Tag, List[Any]],
+        expected: Dict[StatementTag, List[Any]],
         ignore_untagged: bool = True) -> None:
     """Every tagged statement instance must read the sequential values.
 
@@ -93,7 +94,7 @@ def check_reads_match_sequential(
 
 def check_reads_match_recovered(
         trace: Iterable[AccessRecord],
-        expected: Dict[Tag, List[Any]]) -> None:
+        expected: Dict[StatementTag, List[Any]]) -> None:
     """Sequential-read check tolerant of idempotent crash replay.
 
     A reincarnated task replays the unfinished part of its iteration, so
@@ -140,7 +141,7 @@ def check_final_state(final_memory: Dict[Address, Any],
 #: one enforced ordering obligation: source instance's ``src_kind``
 #: ("R"/"W") access to ``addr`` must commit before sink instance's
 #: ``dst_kind`` access to the same ``addr``.
-DependenceInstance = Tuple[Tag, Tag, Address, str, str]
+DependenceInstance = Tuple[StatementTag, StatementTag, Address, str, str]
 
 
 def check_dependence_instances(
@@ -155,8 +156,8 @@ def check_dependence_instances(
     instance-based scheme renames addresses and is validated by value
     checks instead.
     """
-    commits: Dict[Tuple[Tag, Address, str], List[Tuple[int, str]]] = \
-        defaultdict(list)
+    commits: Dict[Tuple[StatementTag, Address, str],
+                  List[Tuple[int, str]]] = defaultdict(list)
     for record in trace:
         if record.tag is not None:
             commits[(record.tag, record.addr, record.kind)].append(

@@ -38,7 +38,7 @@ def reference_rows(loop):
             (stmt.sid,
              tuple(loop.address_of(ref, index) for ref in stmt.reads),
              tuple(loop.address_of(ref, index) for ref in stmt.writes),
-             stmt.cost_at(index))
+             stmt.cost_at(index), (stmt.sid, loop.lpid(index)))
             if stmt.executes_at(index) else None
             for stmt in loop.body))
         for index in loop.iteration_space())

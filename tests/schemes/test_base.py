@@ -18,10 +18,10 @@ def test_execute_statement_op_sequence(fig21):
     # S2 reads A[i+1]
     ops = list(statement_instances(fig21, 4)["S2"].stream())
     kinds = [type(op).__name__ for op in ops]
-    assert kinds == ["Annotate", "MemRead", "Compute", "Annotate"]
-    assert ops[0].payload["tag"] == ("S2", 4)
+    assert kinds == ["Tag", "MemRead", "Compute", "Tag"]
+    assert ops[0].tag == ("S2", 4)
     assert ops[1].addr == ("A", 5)
-    assert ops[-1].payload["tag"] is None
+    assert ops[-1].tag is None
 
 
 def test_execute_statement_writes_mixed_value(fig21):

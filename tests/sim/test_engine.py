@@ -7,7 +7,7 @@ import pytest
 from repro.sim import (Annotate, BroadcastSyncFabric, Compute, DeadlockError,
                        Engine, Fence, MemRead, MemWrite, MemoryConfig,
                        MemorySyncFabric, SharedMemory, SimulationLimitError,
-                       SyncUpdate, SyncWrite, WaitUntil)
+                       SyncUpdate, SyncWrite, Tag, WaitUntil)
 
 
 def make_engine(fabric=None, memory=None, **kwargs):
@@ -208,9 +208,9 @@ def test_annotation_tag_captured_at_issue_time():
     engine = Engine(memory, BroadcastSyncFabric())
 
     def proc():
-        yield Annotate("tag", {"tag": ("S1", 1)})
+        yield Tag(("S1", 1))
         yield MemWrite(("A", 0), 1)
-        yield Annotate("tag", {"tag": None})
+        yield Tag(None)
         yield Compute(100)
 
     engine.spawn(proc(), name="p")
