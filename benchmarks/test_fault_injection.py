@@ -165,10 +165,9 @@ def test_sustained_loss_flips_to_degraded_fallback():
     must still validate."""
     instrumented = make_scheme("statement-oriented").instrument(
         fig21_loop(n=N, cost=8))
-    instrumented.bound_waits(100_000)
     machine = Machine(fault_machine_config(
         FaultPlan(name="very-lossy", seed=0, broadcast_loss=0.5),
-        recover=True, processors=P))
+        recover=True, processors=P, wait_bound=100_000))
     run = run_classified(machine, instrumented)
     assert run.outcome == "ok", run.error
     assert run.result.recovery["fallback_epochs"] >= 1

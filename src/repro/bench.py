@@ -119,10 +119,9 @@ def _run_cell(cell: SweepCell, mode: str) -> Tuple[float, int, int]:
     loop = build_app(cell.app, dict(cell.app_params))
     scheme = make_scheme(cell.scheme)
     machine = Machine(MachineConfig(
-        processors=cell.processors, schedule=cell.schedule, metrics=mode))
+        processors=cell.processors, schedule=cell.schedule, metrics=mode,
+        wait_bound=cell.wait_bound))
     instrumented = scheme.instrument(loop)
-    if cell.wait_bound is not None:
-        instrumented.bound_waits(cell.wait_bound)
     start = time.perf_counter()
     result = machine.run(instrumented)
     wall = time.perf_counter() - start

@@ -191,12 +191,6 @@ class DependenceGraph:
         return [stmt.sid for stmt in self.loop.body
                 if stmt.sid in source_sids]
 
-    def sinks(self, arcs: Optional[Sequence[SyncArc]] = None) -> List[str]:
-        """Statements that are the sink of >= 1 sync arc, textual order."""
-        arcs = self.sync_arcs() if arcs is None else arcs
-        sink_sids = {arc.dst for arc in arcs}
-        return [stmt.sid for stmt in self.loop.body if stmt.sid in sink_sids]
-
     def incoming(self, sid: str,
                  arcs: Optional[Sequence[SyncArc]] = None) -> List[SyncArc]:
         """Sync arcs whose sink is ``sid``."""

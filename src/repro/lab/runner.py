@@ -145,7 +145,8 @@ def _elimination_info(config: Mapping[str, Any],
 def _machine_for(config: Mapping[str, Any]) -> Machine:
     settings = dict(processors=config["processors"],
                     schedule=config["schedule"],
-                    metrics="full" if config["validate"] else "counters")
+                    metrics="full" if config["validate"] else "counters",
+                    wait_bound=config["wait_bound"])
     if config.get("plan"):
         return Machine(fault_machine_config(
             make_plan(config["plan"], seed=config["seed"]),
@@ -190,8 +191,6 @@ def execute_cell(config: Mapping[str, Any],
         instrumented = make_scheme(config["scheme"]).instrument(loop)
         elimination = _elimination_info(config, instrumented)
     if instrumented is not None:
-        if config["wait_bound"] is not None:
-            instrumented.bound_waits(config["wait_bound"])
         run = run_classified(machine, instrumented,
                              validate=bool(config["validate"]))
     return make_record(key, config, outcome=run.outcome, result=run.result,

@@ -348,9 +348,15 @@ class RecoveryManager:
     # mechanism 3: degraded-mode accounting
     # ------------------------------------------------------------------
 
-    def charge_fallback_poll(self, cycles: int) -> None:
+    def home_read_cost(self, var: int, now: int,
+                       requester: Any = None) -> int:
+        """Charge one degraded-mode poll of ``var``'s home copy; return
+        when the shared-memory read completes (the fabric's
+        ``read_cost`` contract, at the policy's cost)."""
+        cycles = self.policy.fallback_read_cost
         self.counters["fallback_polls"] += 1
         self.counters["recovery_overhead_cycles"] += cycles
+        return now + cycles
 
     def charge_retransmission(self, cycles: int) -> None:
         self.counters["retransmissions"] += 1

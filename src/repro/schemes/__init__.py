@@ -9,7 +9,7 @@ interface:
 * ``process-oriented`` -- the paper's proposal: folded process counters
 """
 
-from .base import InstrumentedLoop, RunConfig, SyncScheme, bound_waits
+from .base import InstrumentedLoop, RunConfig, SyncScheme
 from .instance_based import (InstanceBasedLoop, InstanceBasedScheme,
                              Instance, ReadBinding, rename)
 from .process_oriented import ProcessOrientedLoop, ProcessOrientedScheme
@@ -24,6 +24,6 @@ __all__ = [
     "InstanceBasedScheme", "KeyedAccess", "ProcessOrientedLoop",
     "ProcessOrientedScheme", "ReadBinding", "ReferenceBasedLoop", "RunConfig",
     "ReferenceBasedScheme", "StatementOrientedLoop",
-    "StatementOrientedScheme", "SyncScheme", "at_least", "bound_waits",
-    "make_scheme", "plan_accesses", "rename", "scheme_names",
+    "StatementOrientedScheme", "SyncScheme", "at_least", "make_scheme",
+    "plan_accesses", "rename", "scheme_names",
 ]

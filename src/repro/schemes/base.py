@@ -17,7 +17,7 @@ validators compare those reads/stores against a sequential execution.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Generator, Iterable, List,
                     Optional, Sequence, Tuple)
 
@@ -25,8 +25,7 @@ from ..depend.graph import DependenceGraph
 from ..depend.model import Loop, LoweredStatement
 from ..sim.machine import Machine, MachineConfig, Workload
 from ..sim.metrics import RunResult
-from ..sim.ops import (Address, Compute, Fence, MemRead, MemWrite, Tag,
-                       WaitUntil)
+from ..sim.ops import Address, Compute, Fence, MemRead, MemWrite, Tag
 from ..sim.validate import (check_dependence_instances, check_final_state,
                             check_reads_match_recovered,
                             check_reads_match_sequential, mix)
@@ -37,9 +36,9 @@ class RunConfig:
     """Every knob of one instrumented run, as a single immutable value.
 
     Collapses the kwarg pile :meth:`SyncScheme.run` had grown
-    (``graph``, ``machine``, ``validate``, ``wait_bound``) into one
-    object that can be built once and fanned across schemes and loops --
-    the unit the :mod:`repro.lab` sweep engine iterates over.  Frozen so
+    (``graph``, ``machine``, ``validate``) into one object that can be
+    built once and fanned across schemes and loops -- the unit the
+    :mod:`repro.lab` sweep engine iterates over.  Frozen so
     a config can key dictionaries and be shared between runs without
     aliasing surprises.
     """
@@ -51,8 +50,6 @@ class RunConfig:
     machine: Optional[Machine] = None
     #: check the run against sequential semantics afterwards
     validate: bool = True
-    #: cap every emitted wait at this many cycles (None: unbounded)
-    wait_bound: Optional[int] = None
 
 
 class CompiledStatement:
@@ -211,28 +208,6 @@ def split_init(items: Sequence[Any],
             for worker in range(min(INIT_WORKERS, max(1, len(items))))]
 
 
-def bound_waits(process: Generator, max_spin: int) -> Generator:
-    """Give every unbounded wait a spin budget (bounded-wait option).
-
-    Rewrites each ``WaitUntil`` the process yields so the engine raises
-    a *diagnosed* DeadlockError once a single wait exceeds ``max_spin``
-    cycles, instead of parking (or polling) forever.  Under fault
-    injection a lost release then surfaces as a structured hazard in
-    bounded time; for correct schemes on clean hardware the budget is
-    never hit as long as it exceeds the longest legitimate wait.  Waits
-    that already carry their own budget are left alone.
-    """
-    try:
-        op = next(process)
-        while True:
-            if isinstance(op, WaitUntil) and op.max_spin is None:
-                op = replace(op, max_spin=max_spin)
-            value = yield op
-            op = process.send(value)
-    except StopIteration:
-        return
-
-
 class InstrumentedLoop(Workload):
     """A loop wrapped in one scheme's synchronization, ready to simulate.
 
@@ -311,16 +286,6 @@ class InstrumentedLoop(Workload):
         """Turn on checkpoint emission for crash recovery (see base attr)."""
         self.checkpoints_enabled = True
 
-    def bound_waits(self, max_spin: int) -> None:
-        """Bound every wait this loop emits (see :func:`bound_waits`)."""
-        original = self.make_process
-        self.make_process = (  # type: ignore[method-assign]
-            lambda iteration: bound_waits(original(iteration), max_spin))
-        original_replay = self.make_replay_process
-        self.make_replay_process = (  # type: ignore[method-assign]
-            lambda iteration, checkpoint=None: bound_waits(
-                original_replay(iteration, checkpoint), max_spin))
-
     def initial_memory(self) -> Dict[Address, Any]:
         """Pre-run contents of shared memory (the seed, by default)."""
         return dict(self.seed_memory)
@@ -389,18 +354,17 @@ class SyncScheme(ABC):
 
         The run is described by a single :class:`RunConfig`::
 
-            scheme.run(loop, config=RunConfig(machine=m, wait_bound=500))
+            scheme.run(loop, config=RunConfig(machine=m, validate=False))
 
-        Counters mode is a machine setting; validating a counters run
-        raises :class:`ValueError` (it records no trace).
+        Counters mode and the wait bound are machine settings;
+        validating a counters run raises :class:`ValueError` (it
+        records no trace).
         """
         config = config or RunConfig()
         machine = config.machine or Machine(MachineConfig())
         if config.validate and machine.config.metrics != "full":
             raise ValueError('validation requires metrics="full"')
         instrumented = self.instrument(loop, config.graph)
-        if config.wait_bound is not None:
-            instrumented.bound_waits(config.wait_bound)
         result = machine.run(instrumented)
         if config.validate:
             instrumented.validate(result)

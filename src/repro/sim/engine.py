@@ -38,8 +38,8 @@ Robustness hooks (all inert by default):
 * ``stagnation_limit`` bounds the number of consecutive events processed
   without any process stepping forward, catching poll-mode livelocks
   (which keep the event queue busy forever) long before the cycle
-  budget; ``WaitUntil.max_spin`` bounds individual waits the same way
-  for event-mode parks.
+  budget; ``wait_bound`` bounds every single wait of the run the same
+  way, parked or polling.
 """
 
 from __future__ import annotations
@@ -263,38 +263,55 @@ class _UpdateDone:
 class _Poll:
     """One task's polling busy-wait, reused across re-polls.
 
-    Poll-mode waits (sync variables in shared memory) issue a charged
-    read every ``poll_interval`` cycles until the predicate holds.  The
-    two closures per re-poll the old implementation allocated are the
-    dominant cost of spin-heavy runs; this object mutates its own slots
-    and re-enqueues itself instead.  ``phase`` alternates between 0
+    A polling wait issues a charged read every poll interval until the
+    predicate holds.  At construction the poll picks where it reads:
+    through the fabric (poll-mode fabrics keep their sync variables in
+    shared memory), or, with ``recovery`` given, the authoritative home
+    copy at the recovery policy's cost -- degraded mode, where the local
+    register images lose too many broadcasts to be trusted.  Only a
+    home-copy poll checks for the end of degraded mode, handing the
+    wait back to the event path when it comes.
+
+    The object mutates its own slots and re-enqueues itself instead of
+    allocating closures per re-poll.  ``phase`` alternates between 0
     (issue the next poll read) and 1 (the read completed: test the
     predicate).
     """
 
     __slots__ = ("engine", "task", "op", "started", "reason", "first",
-                 "phase")
+                 "phase", "recovery", "read_cost", "value", "interval")
 
     def __init__(self, engine: "Engine", task: "_Task", op: WaitUntil,
-                 started: int) -> None:
+                 recovery=None) -> None:
         self.engine = engine
         self.task = task
         self.op = op
-        self.started = started
+        self.started = engine.now
         self.reason = op.reason or f"poll on var {op.var}"
         self.first = True
         self.phase = 1
+        self.recovery = recovery
+        if recovery is None:
+            fabric = engine.fabric
+            self.read_cost = fabric.read_cost
+            self.value = fabric.value
+            self.interval = fabric.poll_interval
+        else:
+            self.reason += " [degraded mode]"
+            self.read_cost = recovery.home_read_cost
+            self.value = engine.fabric.authoritative_value
+            self.interval = recovery.policy.fallback_poll_interval
 
     def __call__(self) -> None:
         engine = self.engine
         task = self.task
         op = self.op
         if self.phase == 0:
-            # Issue the next poll read (a charged fabric transaction).
+            # Issue the next poll read (a charged transaction).
             if not task.alive:
                 return
-            done = engine.fabric.read_cost(op.var, engine.now,
-                                           requester=task.stats.name)
+            done = self.read_cost(op.var, engine.now,
+                                  requester=task.stats.name)
             task.wait_state = ("polling", op.var, self.reason,
                                self.started)
             self.phase = 1
@@ -309,7 +326,7 @@ class _Poll:
             return
         # The poll read completed: test the predicate.
         now = engine.now
-        if op.predicate(engine.fabric.value(op.var)):
+        if op.predicate(self.value(op.var)):
             task.wait_state = None
             if self.first:
                 task.stats.waits_satisfied_immediately += 1
@@ -318,15 +335,16 @@ class _Poll:
                 if engine.record and now > self.started:
                     engine.activity.append((task.stats.name, "spin",
                                             self.started, now))
-            engine._record_sync("acq", op.var,
-                                engine.fabric.value(op.var), task)
+            engine._record_sync("acq", op.var, self.value(op.var), task)
             task.pending_value = None
             engine._open_resumes.append(task)
             return
-        if op.max_spin is not None and now - self.started > op.max_spin:
+        bound = engine.wait_bound
+        if bound is not None and now - self.started > bound:
+            mode = "" if self.recovery is None else " (degraded mode)"
             raise DeadlockError(
                 f"bounded wait expired: task {task.stats.name!r} "
-                f"polled over {op.max_spin} cycles in "
+                f"polled over {bound} cycles{mode} in "
                 f"{op.reason or f'poll on var {op.var}'!r}",
                 report=engine._diagnose())
         if self.first:
@@ -334,8 +352,17 @@ class _Poll:
             # completed, not when it was issued.
             self.started = now
             self.first = False
+        if self.recovery is not None and not self.recovery.degraded:
+            # Loss rate recovered: wait on the local image again.
+            value = engine.fabric.value(op.var)
+            if op.predicate(value):
+                engine._record_sync("acq", op.var, value, task)
+                engine._resume_at(task, now + 1)
+            else:
+                engine._park(task, op, self.started)
+            return
         self.phase = 0
-        time = now + engine.fabric.poll_interval
+        time = now + self.interval
         if time == engine._open_time:
             engine._open_resumes.append(self)
             return
@@ -353,9 +380,12 @@ class Engine:
                  max_cycles: int = 50_000_000, record: bool = True,
                  injector=None,
                  stagnation_limit: Optional[int] = None,
-                 sync_tap: bool = False) -> None:
+                 sync_tap: bool = False,
+                 wait_bound: Optional[int] = None) -> None:
         if stagnation_limit is not None and stagnation_limit < 1:
             raise ValueError("stagnation_limit must be >= 1 (or None)")
+        if wait_bound is not None and wait_bound < 1:
+            raise ValueError("wait_bound must be >= 1 (or None)")
         self.memory = memory
         self.fabric = fabric
         fabric.attach(self)
@@ -372,6 +402,9 @@ class Engine:
         #: max consecutive events without a process step before the run
         #: is declared stagnant (None disables the watchdog)
         self.stagnation_limit = stagnation_limit
+        #: max cycles any single wait may spin, parked or polling,
+        #: before a diagnosed DeadlockError (None: unbounded)
+        self.wait_bound = wait_bound
         self.trace: List[AccessRecord] = []
         #: synchronization events for the dynamic race sanitizer:
         #: (seq, kind, var, value, task) with kind "rel" (SyncWrite
@@ -410,7 +443,6 @@ class Engine:
         self._tasks: List[_Task] = []
         #: tasks parked in WaitUntil, keyed by fabric variable
         self._waiters: Dict[int, List[Tuple[_Task, WaitUntil, int]]] = {}
-        self._parked = 0
         #: last task to write/update each sync variable (wait-for edges)
         self.var_writers: Dict[int, str] = {}
         #: task names killed by fault injection
@@ -498,7 +530,6 @@ class Engine:
         now = self.now
         wake = None
         for task, op, parked_at in waiters:
-            self._parked -= 1
             if op.predicate(value):
                 task.wait_state = None
                 timeout = task.wait_timeout
@@ -823,30 +854,44 @@ class Engine:
         # _begin_wait inlined: WaitUntil is the event-path hot op.
         task.stats.sync_ops += 1
         if self.fabric.wait_mode == "poll":
-            self._poll_wait(task, op, started=self.now)
-            return
-        if self.recovery is not None and self.recovery.degraded:
+            poll = _Poll(self, task, op)
+        elif self.recovery is not None and self.recovery.degraded:
             # Degraded mode: the local register images are losing too
             # many broadcasts to be trusted, so busy-wait by polling the
             # authoritative home copy through shared memory instead
             # (charged reads; liveness bought with cycles).
-            self._fallback_wait(task, op, started=self.now)
-            return
-        # Event-driven wait on the local register image: test now, park
-        # until the variable's committed value changes.
-        value = self.fabric.value(op.var)
-        if op.predicate(value):
-            task.stats.waits_satisfied_immediately += 1
-            self._record_sync("acq", op.var, value, task)
-            task.pending_value = None
-            time = self.now + 1
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                bucket = self._buckets[time] = ([], [])
-                heapq.heappush(self._times, time)
-            bucket[1].append(task)
+            poll = _Poll(self, task, op, self.recovery)
         else:
-            self._park(task, op, self.now)
+            # Event-driven wait on the local register image: test now,
+            # park until the variable's committed value changes.
+            value = self.fabric.value(op.var)
+            if op.predicate(value):
+                task.stats.waits_satisfied_immediately += 1
+                self._record_sync("acq", op.var, value, task)
+                task.pending_value = None
+                time = self.now + 1
+                bucket = self._buckets.get(time)
+                if bucket is None:
+                    bucket = self._buckets[time] = ([], [])
+                    heapq.heappush(self._times, time)
+                bucket[1].append(task)
+            else:
+                self._park(task, op, self.now)
+            return
+        # The first poll is a mandatory read: account it as a memory
+        # stall.  Only re-polls count as busy-waiting (see _Poll).
+        now = self.now
+        done = poll.read_cost(op.var, now, requester=task.stats.name)
+        task.stats.stall += done - now
+        task.wait_state = ("polling", op.var, poll.reason, now)
+        if done == self._open_time:
+            self._open_resumes.append(poll)
+            return
+        bucket = self._buckets.get(done)
+        if bucket is None:
+            bucket = self._buckets[done] = ([], [])
+            heapq.heappush(self._times, done)
+        bucket[1].append(poll)
 
     def _record_sync(self, kind: str, var: int, value: Any,
                      task: _Task) -> None:
@@ -1072,99 +1117,23 @@ class Engine:
         if waiters is None:
             waiters = self._waiters[op.var] = []
         waiters.append((task, op, parked_at))
-        self._parked += 1
         reason = op.reason or f"wait on var {op.var}"
         task.wait_state = ("parked", op.var, reason, parked_at)
-        if op.max_spin is not None and parked_at == self.now:
-            # Bounded wait: armed once at first park (re-parks after a
-            # failed re-check keep the original parked_at and deadline).
-            deadline_state = ("parked", op.var, reason, parked_at)
+        bound = self.wait_bound
+        if bound is not None and task.wait_timeout is None:
+            # Bounded wait: armed at the wait's first park, counted from
+            # when it began spinning (a wait that degraded polling hands
+            # back parks late); re-parks after a failed re-check keep
+            # the original parked_at and deadline.
+            deadline_state = task.wait_state
 
             def expire() -> None:
                 if task.alive and task.wait_state == deadline_state:
                     raise DeadlockError(
                         f"bounded wait expired: task {task.stats.name!r} "
-                        f"spent over {op.max_spin} cycles in "
+                        f"spent over {bound} cycles in "
                         f"{reason!r}", report=self._diagnose())
 
             timeout = _Timeout(expire)
             task.wait_timeout = timeout
-            self._push_resume(parked_at + op.max_spin, timeout)
-
-    def _poll_wait(self, task: _Task, op: WaitUntil, started: int) -> None:
-        # The first poll is a mandatory read: account it as a memory
-        # stall.  Only re-polls count as busy-waiting (see _Poll).
-        done = self.fabric.read_cost(op.var, self.now,
-                                     requester=task.stats.name)
-        task.stats.stall += done - self.now
-        poll = _Poll(self, task, op, started)
-        task.wait_state = ("polling", op.var, poll.reason, started)
-        if done == self._open_time:
-            self._open_resumes.append(poll)
-            return
-        bucket = self._buckets.get(done)
-        if bucket is None:
-            bucket = self._buckets[done] = ([], [])
-            heapq.heappush(self._times, done)
-        bucket[1].append(poll)
-
-    def _fallback_wait(self, task: _Task, op: WaitUntil, started: int,
-                       first: bool = True) -> None:
-        """Degraded-mode busy-wait: charged polls of the home copy.
-
-        Mirrors :meth:`_poll_wait` but reads the fabric's
-        *authoritative* value (the home copy that lost broadcasts still
-        reach) at the recovery policy's shared-memory cost, so a waiter
-        makes progress even when its local register image is stale.
-        Returns to the event-driven path once degraded mode ends.
-        """
-        if not task.alive:
-            return
-        recovery = self.recovery
-        policy = recovery.policy
-        done = self.now + policy.fallback_read_cost
-        recovery.charge_fallback_poll(policy.fallback_read_cost)
-        if first:
-            task.stats.stall += done - self.now
-        task.wait_state = ("polling", op.var,
-                           (op.reason or f"poll on var {op.var}")
-                           + " [degraded mode]", started)
-
-        def check() -> None:
-            if op.predicate(self.fabric.authoritative_value(op.var)):
-                task.wait_state = None
-                if first:
-                    task.stats.waits_satisfied_immediately += 1
-                else:
-                    task.stats.spin += self.now - started
-                    if self.record and self.now > started:
-                        self.activity.append((task.stats.name, "spin",
-                                              started, self.now))
-                self._record_sync(
-                    "acq", op.var,
-                    self.fabric.authoritative_value(op.var), task)
-                self._resume_at(task, self.now)
-                return
-            if (op.max_spin is not None
-                    and self.now - started > op.max_spin):
-                raise DeadlockError(
-                    f"bounded wait expired: task {task.stats.name!r} "
-                    f"polled over {op.max_spin} cycles (degraded mode) "
-                    f"in {op.reason or f'poll on var {op.var}'!r}",
-                    report=self._diagnose())
-            spin_from = done if first else started
-            if not recovery.degraded:
-                # Loss rate recovered: re-arm as a normal event wait.
-                if op.predicate(self.fabric.value(op.var)):
-                    self._record_sync("acq", op.var,
-                                      self.fabric.value(op.var), task)
-                    self._resume_at(task, self.now + 1)
-                else:
-                    self._park(task, op, spin_from)
-                return
-            next_poll = self.now + policy.fallback_poll_interval
-            self.schedule(next_poll,
-                          lambda: self._fallback_wait(task, op, spin_from,
-                                                      first=False))
-
-        self._push_resume(done, check)
+            self._push_resume(parked_at + bound, timeout)

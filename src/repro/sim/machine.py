@@ -98,6 +98,10 @@ class MachineConfig:
     #: diagnosed DeadlockError (catches poll-mode livelocks early);
     #: None disables the stagnation watchdog
     stagnation_limit: Optional[int] = None
+    #: max cycles any single wait may spin, parked or polling, before a
+    #: diagnosed DeadlockError (a lost release surfaces as a hazard in
+    #: bounded time); None leaves waits unbounded
+    wait_bound: Optional[int] = None
     #: what a run records.  "full" (default): the access trace, sync
     #: trace, activity segments and Annotate events, as validation and
     #: timelines need.  "counters": opt-in fast path -- only end-of-run
@@ -118,6 +122,8 @@ class MachineConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.stagnation_limit is not None and self.stagnation_limit < 1:
             raise ValueError("stagnation_limit must be >= 1 (or None)")
+        if self.wait_bound is not None and self.wait_bound < 1:
+            raise ValueError("wait_bound must be >= 1 (or None)")
         if self.metrics not in ("full", "counters"):
             raise ValueError(f"unknown metrics mode {self.metrics!r}")
 
@@ -176,7 +182,8 @@ class Machine:
                         record=(self.config.metrics == "full"),
                         injector=injector,
                         stagnation_limit=self.config.stagnation_limit,
-                        sync_tap=self.config.sync_tap)
+                        sync_tap=self.config.sync_tap,
+                        wait_bound=self.config.wait_bound)
         recovery = None
         if injector is not None and self.config.recovery is not None:
             recovery = RecoveryManager(self.config.recovery, plan)

@@ -25,7 +25,8 @@ substrate (which *executes* them):
 ``WaitUntil``
     Busy-wait until a predicate over a synchronization variable becomes
     true.  The engine accounts the elapsed time as *spin* cycles and, when
-    the fabric requires it, charges one transaction per poll.
+    the fabric requires it, charges one transaction per poll.  The run's
+    ``MachineConfig.wait_bound`` caps how long any one wait may spin.
 ``Fence``
     Marks the point where a process's previous writes are globally
     visible; schemes issue it before signalling completion of a source
@@ -131,17 +132,14 @@ class WaitUntil:
 
     The predicate must be monotonic: once true it stays true.  This mirrors
     the paper's primitives, which always wait for a counter to *exceed* a
-    value, never to equal one transiently.
+    value, never to equal one transiently.  A wait has no budget of its
+    own; the engine's ``wait_bound`` applies to every wait of the run.
     """
 
     var: int
     predicate: Callable[[Any], bool]
     #: human-readable reason, kept in the trace (e.g. "wait_PC(2,1)").
     reason: str = ""
-    #: optional spin budget in cycles: when set, the engine raises a
-    #: diagnosed DeadlockError if the wait is still unsatisfied after
-    #: this many cycles (bounded wait; see schemes.base.bound_waits).
-    max_spin: Optional[int] = None
 
 
 def at_least(threshold: int) -> Callable[[int], bool]:

@@ -51,10 +51,9 @@ def test_report_round_trips_through_from_json():
 def test_diagnosed_report_carries_recovery_state():
     instrumented = make_scheme("statement-oriented").instrument(
         fig21_loop(n=16, cost=8))
-    instrumented.bound_waits(100_000)
     machine = Machine(fault_machine_config(
         FaultPlan(name="meltdown", seed=1, crash_prob=0.02), recover=True,
-        processors=4))
+        processors=4, wait_bound=100_000))
     run = run_classified(machine, instrumented)
     assert run.outcome in ("deadlock-diagnosed", "limit-diagnosed")
     assert run.report.recovery_actions

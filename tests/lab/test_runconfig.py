@@ -33,8 +33,8 @@ def test_unknown_kwargs_rejected():
 
 
 def test_config_is_frozen_and_hashable():
-    config = RunConfig(validate=False, wait_bound=99)
+    config = RunConfig(validate=False)
     with pytest.raises(Exception):
         config.validate = True  # type: ignore[misc]
-    assert config == RunConfig(validate=False, wait_bound=99)
-    assert len({config, RunConfig(validate=False, wait_bound=99)}) == 1
+    assert config == RunConfig(validate=False)
+    assert len({config, RunConfig(validate=False)}) == 1

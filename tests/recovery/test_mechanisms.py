@@ -27,8 +27,8 @@ def run_custom_plan(scheme, plan):
     """Run an ad-hoc plan (no preset name, so no sweep cell) on the
     fault cells' loop and machine, with recovery on."""
     instrumented = make_scheme(scheme).instrument(fig21_loop(n=16, cost=8))
-    instrumented.bound_waits(100_000)
-    machine = Machine(fault_machine_config(plan, recover=True, processors=4))
+    machine = Machine(fault_machine_config(plan, recover=True, processors=4,
+                                           wait_bound=100_000))
     return run_classified(machine, instrumented)
 
 

@@ -185,11 +185,10 @@ def _run_recovery_case(scheme_name: str, stem: str, plan: str,
     app, params, processors, schedule = LOOPS[stem]
     instrumented = _make_scheme(scheme_name).instrument(
         build_app(app, dict(params)))
-    instrumented.bound_waits(100_000)
     machine = Machine(MachineConfig(
         processors=processors, schedule=schedule,
         fault_plan=make_plan(plan, seed=0), max_cycles=FAULT_MAX_CYCLES,
-        stagnation_limit=FAULT_STAGNATION_LIMIT,
+        stagnation_limit=FAULT_STAGNATION_LIMIT, wait_bound=100_000,
         recovery=RecoveryPolicy()))
     result = machine.run(instrumented)
     instrumented.validate(result)

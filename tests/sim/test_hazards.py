@@ -11,10 +11,12 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.faults import FaultPlan
+from repro.recovery import RecoveryManager, RecoveryPolicy
 from repro.sim import (BroadcastSyncFabric, Compute, DeadlockError, Engine,
-                       HazardError, MemoryConfig, MemorySyncFabric, MemRead,
-                       SharedMemory, SimulationLimitError, SyncWrite,
-                       WaitUntil)
+                       HazardError, MachineConfig, MemoryConfig,
+                       MemorySyncFabric, MemRead, SharedMemory,
+                       SimulationLimitError, SyncWrite, WaitUntil)
 
 
 def make_engine(fabric=None, memory=None, **kwargs):
@@ -95,11 +97,10 @@ def test_limit_error_includes_non_waituntil_blocked_tasks():
 def test_bounded_park_expires_into_diagnosed_deadlock():
     fabric = BroadcastSyncFabric()
     var = fabric.alloc(1, init=0)[0]
-    engine, *_ = make_engine(fabric=fabric)
+    engine, *_ = make_engine(fabric=fabric, wait_bound=50)
 
     def waiter():
-        yield WaitUntil(var, lambda v: v >= 1, reason="lost release",
-                        max_spin=50)
+        yield WaitUntil(var, lambda v: v >= 1, reason="lost release")
 
     engine.spawn(waiter(), name="w")
     with pytest.raises(DeadlockError) as excinfo:
@@ -113,10 +114,10 @@ def test_bounded_park_timeout_does_not_stretch_makespan():
     is dropped without advancing simulated time."""
     fabric = BroadcastSyncFabric()
     var = fabric.alloc(1, init=0)[0]
-    engine, *_ = make_engine(fabric=fabric)
+    engine, *_ = make_engine(fabric=fabric, wait_bound=100_000)
 
     def waiter():
-        yield WaitUntil(var, lambda v: v >= 1, max_spin=100_000)
+        yield WaitUntil(var, lambda v: v >= 1)
 
     def setter():
         yield Compute(10)
@@ -131,17 +132,71 @@ def test_bounded_poll_expires_into_diagnosed_deadlock():
     memory = SharedMemory()
     fabric = MemorySyncFabric(memory, poll_interval=3)
     var = fabric.alloc(1, init=0)[0]
-    engine = Engine(memory, fabric)
+    engine = Engine(memory, fabric, wait_bound=60)
 
     def waiter():
-        yield WaitUntil(var, lambda v: v >= 1, reason="never set",
-                        max_spin=60)
+        yield WaitUntil(var, lambda v: v >= 1, reason="never set")
 
     engine.spawn(waiter(), name="w")
     with pytest.raises(DeadlockError) as excinfo:
         engine.run()
     assert "bounded wait expired" in str(excinfo.value)
     assert excinfo.value.report.by_task()["w"].state == "polling"
+
+
+def degraded_waiter(wait_bound):
+    """A broadcast-fabric engine in recovery's degraded mode, with one
+    task waiting for a release that never comes."""
+    fabric = BroadcastSyncFabric()
+    var = fabric.alloc(1, init=0)[0]
+    engine, *_ = make_engine(fabric=fabric, wait_bound=wait_bound)
+    recovery = RecoveryManager(RecoveryPolicy(), FaultPlan())
+    recovery.attach(engine, None)
+    recovery.degraded = True
+
+    def waiter():
+        yield WaitUntil(var, lambda v: v >= 1, reason="lost release")
+
+    engine.spawn(waiter(), name="w")
+    return engine, recovery
+
+
+def test_bounded_degraded_poll_expires_into_diagnosed_deadlock():
+    """Home-copy polls share the polling wait's budget; the error and
+    the wait state say the wait was in degraded mode."""
+    engine, recovery = degraded_waiter(wait_bound=100)
+    with pytest.raises(DeadlockError) as excinfo:
+        engine.run()
+    assert ("polled over 100 cycles (degraded mode) in 'lost release'"
+            in str(excinfo.value))
+    diag = excinfo.value.report.by_task()["w"]
+    assert diag.state == "polling"
+    assert diag.reason == "lost release [degraded mode]"
+    assert recovery.counters["fallback_polls"] > 1
+
+
+@pytest.mark.parametrize("degraded_until", [3, 30])
+def test_bounded_wait_handed_back_by_degraded_polling_keeps_deadline(
+        degraded_until):
+    """Degraded mode ends before the waiter's first home-copy poll
+    completes (t=6) or only after re-polls: either way the wait handed
+    back to the event path parks with its deadline, counted from when
+    it began spinning (t=6), and expires at t=106."""
+    engine, recovery = degraded_waiter(wait_bound=100)
+    engine.schedule(degraded_until,
+                    lambda: setattr(recovery, "degraded", False))
+    with pytest.raises(DeadlockError) as excinfo:
+        engine.run()
+    assert "spent over 100 cycles in 'lost release'" in str(excinfo.value)
+    assert engine.now == 106
+    assert excinfo.value.report.by_task()["w"].state == "parked"
+
+
+def test_wait_bound_must_be_positive():
+    with pytest.raises(ValueError, match="wait_bound"):
+        MachineConfig(wait_bound=0)
+    with pytest.raises(ValueError, match="wait_bound"):
+        make_engine(wait_bound=0)
 
 
 def test_stagnation_watchdog_catches_poll_livelock():
